@@ -326,8 +326,6 @@ def build_parser():
         description="Sidon sets in finite abelian groups: constructions, "
         "projective planes, exhaustive searches.",
     )
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; runs are single-process")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -412,8 +410,6 @@ def main(argv=None):
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(message)s",
     )
-    if args.workers != 1:
-        log.info("--workers=%d accepted; running single-process", args.workers)
     try:
         return args.fn(args)
     except (BudgetError, BudgetExceeded) as exc:

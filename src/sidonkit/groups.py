@@ -252,15 +252,6 @@ def endomorphism_candidates(group):
     return per
 
 
-def automorphism_bound(group):
-    """Number of endomorphism candidates automorphisms() will sift."""
-    out = 1
-    for ni in group.factors:
-        for nj in group.factors:
-            out *= math.gcd(ni, nj)
-    return out
-
-
 def _generates(group, images):
     seen = {(0,) * group.rank}
     frontier = list(seen)

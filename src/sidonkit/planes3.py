@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import random
 
 from .fields import FieldExtension
 from .groups import GroupElement, invariant_factor_form
 from .incidence import IncidenceStructure
+
+log = logging.getLogger(__name__)
 
 PLANE_CAP = 64
 
@@ -636,6 +639,8 @@ def recover_constructions(field):
         if not is_sidon(group, ext.S).sidon:
             raise PlaneError(f"extraction for {tag} is not Sidon")  # pragma: no cover
         match = affine_equivalent(group, ext.S, S)
+        log.info("GF(%d) family %s vs %s: %d candidates tried, sift fallback %s",
+                 field.q, tag, name, match.candidates, "ran" if match.sifted else "not run")
         entry.update({
             "group": group.to_json(),
             "extracted": [g.to_json() for g in sorted(ext.S)],

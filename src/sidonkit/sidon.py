@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from array import array
 
-from .groups import (GroupElement, GroupError, _generates, automorphism_bound,
-                     automorphisms, endo_apply)
+from .groups import GroupElement, GroupError, _generates, automorphisms, endo_apply
 
 ORDER_CAP = 1 << 24
-EXHAUSTIVE_AUTO_CAP = 2_000_000
 
 
 class SidonReport:
@@ -228,14 +225,19 @@ def subgroup_union_cover(group, T, k_max, lattice_cap=4096, combo_cap=200_000):
 class AffineResult:
     """Witness of S2 = phi(S1) + c, or absence thereof.
 
-    images are the coords of phi at the canonical generators; conclusive
-    is False when the search was randomized and found nothing.
+    images are the coords of phi at the canonical generators.  The search
+    is exhaustive, so the answer is always conclusive.  candidates counts
+    the maps checked in full and sifted tells whether the search had to
+    sift all automorphisms; neither goes into to_json.
     """
 
-    def __init__(self, images, translation, conclusive):
+    conclusive = True
+
+    def __init__(self, images, translation, candidates, sifted):
         self.images = images
         self.translation = translation
-        self.conclusive = conclusive
+        self.candidates = candidates
+        self.sifted = sifted
 
     def __bool__(self):
         return self.images is not None
@@ -246,14 +248,6 @@ class AffineResult:
             "translation": None if self.translation is None else self.translation.to_json(),
             "conclusive": self.conclusive,
         }
-
-
-def affine_apply(group, images, translation, S):
-    c = group.element(translation).coords
-    out = set()
-    for s in S:
-        out.add(group.add_coords(endo_apply(group, images, group.element(s).coords), c))
-    return {GroupElement(group, x) for x in out}
 
 
 def _match_translation(group, images, set1, set2):
@@ -267,35 +261,114 @@ def _match_translation(group, images, set1, set2):
     return None
 
 
-def affine_equivalent(group, S1, S2, restarts=20000, seed=0):
-    """Search for an automorphism phi and translation c with phi(S1)+c = S2.
+def _order(group, coords):
+    return GroupElement(group, coords).order()
 
-    Exhaustive over all automorphisms when the candidate sift is small
-    enough; otherwise random restarts, where a miss is inconclusive.
+
+def _difference_basis(group, D1):
+    """Greedy generating subset B of D1, largest orders first, and a word
+    over B (coefficient tuple) for every element of span(B)."""
+    words = {(0,) * group.rank: ()}
+    basis = []
+    for d in sorted(D1, key=lambda x: (-_order(group, x), x)):
+        if d in words:
+            continue
+        # span + <d> is the disjoint union of the cosets span + k d, k < m
+        m, x = 1, d
+        while x not in words:
+            x = group.add_coords(x, d)
+            m += 1
+        grown = {}
+        for k in range(m):
+            kd = group.smul_coords(k, d)
+            for h, w in words.items():
+                grown[group.add_coords(h, kd)] = w + (k,)
+        words = grown
+        basis.append(d)
+    return basis, words
+
+
+def affine_equivalent(group, S1, S2):
+    """Decide exactly whether some automorphism phi and translation c give
+    phi(S1) + c = S2; the answer is always conclusive.
+
+    If they do, phi maps D1 = S1 - s1 onto D2 = S2 - s2 for the fixed
+    anchor s1 and some s2 in S2.  When D1 generates the group, phi is
+    fixed by its values on a generating subset B of D1, so a search over
+    images of B inside each D2 (distinct, of matching order, and pruned
+    as soon as an element of D1 in the span so far leaves D2) finds every
+    candidate; each one is accepted only after it is checked to be an
+    automorphism with phi(S1) + c = S2.  When D1 generates a proper
+    subgroup, all automorphisms are sifted instead.
     """
     set1 = {group.element(s).coords for s in S1}
     set2 = {group.element(s).coords for s in S2}
     if len(set1) != len(set2):
         raise GroupError("affine equivalence needs |S1| = |S2|")
+    units = [tuple(int(i == j) for j in range(group.rank)) for i in range(group.rank)]
     if not set1:
-        return AffineResult(tuple(), group.zero, True)
+        return AffineResult(tuple(units), group.zero, 0, False)
 
-    if automorphism_bound(group) <= EXHAUSTIVE_AUTO_CAP:
+    s1 = min(set1)
+    D1 = {group.sub_coords(x, s1) for x in set1}
+    basis, words = _difference_basis(group, D1)
+    if len(words) < group.order:
+        tried = 0
         for images in automorphisms(group):
+            tried += 1
             c = _match_translation(group, images, set1, set2)
             if c is not None:
-                return AffineResult(images, GroupElement(group, c), True)
-        return AffineResult(None, None, True)
+                return AffineResult(images, GroupElement(group, c), tried, True)
+        return AffineResult(None, None, tried, True)
 
-    rng = random.Random(seed)
-    steps = [[nj // math.gcd(ni, nj) for nj in group.factors] for ni in group.factors]
-    for _ in range(restarts):
-        images = tuple(
-            tuple(st * rng.randrange(nj // st) for st, nj in zip(steps[i], group.factors))
-            for i in range(group.rank))
-        if not _generates(group, images):
-            continue
-        c = _match_translation(group, images, set1, set2)
-        if c is not None:
-            return AffineResult(images, GroupElement(group, c), True)
-    return AffineResult(None, None, False)
+    zero = (0,) * group.rank
+    r = len(basis)
+    # D1 elements first reached at each level j: their words use b_1..b_j only
+    level = [[] for _ in range(r + 1)]
+    for x in D1:
+        w = words[x]
+        level[max((j + 1 for j in range(r) if w[j]), default=0)].append((x, w))
+    orders = [_order(group, b) for b in basis]
+    gens = [words[e] for e in units]
+    images = [None] * r
+    tried = 0
+
+    def complete(s2):
+        nonlocal tried
+        tried += 1
+        phi = tuple(endo_apply(group, images, w) for w in gens)
+        if any(group.smul_coords(n, img) != zero for n, img in zip(group.factors, phi)):
+            return None
+        c = group.sub_coords(s2, endo_apply(group, phi, s1))
+        if {group.add_coords(endo_apply(group, phi, x), c) for x in set1} != set2:
+            return None
+        if not _generates(group, phi):
+            return None
+        return AffineResult(phi, GroupElement(group, c), tried, False)
+
+    def assign(j, D2, by_order, used, s2):
+        if j == r:
+            return complete(s2)
+        for y in by_order.get(orders[j], ()):
+            images[j] = y
+            fresh = set()
+            for x, w in level[j + 1]:
+                img = endo_apply(group, images, w)
+                if img not in D2 or img in used or img in fresh:
+                    break
+                fresh.add(img)
+            else:
+                found = assign(j + 1, D2, by_order, used | fresh, s2)
+                if found is not None:
+                    return found
+        return None
+
+    for s2 in sorted(set2):
+        D2 = {group.sub_coords(y, s2) for y in set2}
+        by_order = {}
+        for y in sorted(D2):
+            by_order.setdefault(_order(group, y), []).append(y)
+        found = assign(0, D2, by_order, {zero}, s2)
+        if found is not None:
+            return found
+    return AffineResult(None, None, tried, False)

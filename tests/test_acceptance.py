@@ -187,15 +187,21 @@ def test_04_group_actions_on_planes():
                     continue            # no extraction at this size
                 assert ext.bound_ok, (tag, q)
                 assert is_sidon(action.group, ext.S).sidon, (tag, q)
-        for q in (3, 5):
-            rows = recover_constructions(field(q))
+        def recovered(q):
             seen = {}
-            for row in rows:
+            for row in recover_constructions(field(q)):
                 if "skipped" in row:
+                    assert row["family"] == "v" and q % 2 == 0, row
                     continue
                 assert row["equivalent"] and row["conclusive"], row
                 seen[row["family"]] = row["construction"]
-            assert seen == recover_map
+            return seen
+
+        for q in (3, 4, 5, 7, 8, 9):
+            expected = {t: c for t, c in recover_map.items() if t != "v" or q % 2}
+            assert recovered(q) == expected, q
+        with budget(5, "check 4, recovery over GF(16)"):
+            assert recovered(16) == {t: c for t, c in recover_map.items() if t != "v"}
         for q in (2, 3, 4, 5, 7):
             for tag, side in (("vi", "line"), ("vii", "point")):
                 with pytest.raises(PlaneError) as exc:

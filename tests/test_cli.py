@@ -178,6 +178,8 @@ def test_output_is_sorted_json(capsys):
     assert list(j) == sorted(j)
 
 
-def test_workers_flag_is_accepted(capsys):
-    code, j = run_json(capsys, "--workers", "4", "search", "--group", "13")
-    assert code == 0 and j["size"] == 4
+def test_workers_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--workers", "4", "search", "--group", "13"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

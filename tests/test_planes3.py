@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from sidonkit.fields import field_create
@@ -168,6 +170,18 @@ def test_recover_q3_and_q5_all_equivalent():
             seen[row["family"]] = row["construction"]
         assert seen == {"i": "singer", "ii": "bose", "iii": "hughes",
                         "iv": "spence", "v": "erdos_turan"}
+
+
+def test_recover_logs_candidates_per_family(caplog):
+    # over GF(3) family iii extracts a single point, whose differences
+    # generate nothing, so only that family needs the automorphism sift
+    with caplog.at_level(logging.INFO, logger="sidonkit"):
+        recover_constructions(F3)
+    lines = [r.getMessage() for r in caplog.records if r.name == "sidonkit.planes3"]
+    assert len(lines) == 5
+    assert all("candidates tried" in line for line in lines)
+    assert ["sift fallback ran" in line for line in lines] == [
+        False, False, True, False, False]
 
 
 def test_recover_q4_skips_parabola():

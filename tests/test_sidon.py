@@ -1,11 +1,15 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_sidon, cyclic, els
-from sidonkit.groups import AbelianGroup, GroupError
+from sidonkit.groups import AbelianGroup, GroupError, automorphisms, endo_apply
 from sidonkit.sidon import (
+    _match_translation,
     affine_equivalent,
     counting_bound,
     is_perfect_difference_set,
@@ -141,7 +145,6 @@ def test_affine_equivalent_positive():
     res = affine_equivalent(G, S1, S2)
     assert res and res.conclusive
     # verify the witness really maps S1 onto S2
-    from sidonkit.groups import endo_apply
     mapped = {G.element(endo_apply(G, res.images, s.coords)) + res.translation
               for s in S1}
     assert mapped == set(S2)
@@ -171,3 +174,98 @@ def test_affine_equivalent_rejects_size_mismatch():
     G = cyclic(7)
     with pytest.raises(GroupError):
         affine_equivalent(G, els(G, 0, 1), els(G, 0, 1, 3))
+
+
+def test_affine_equivalent_empty_sets_give_identity():
+    G = AbelianGroup((2, 4))
+    res = affine_equivalent(G, [], [])
+    assert res and res.images == ((1, 0), (0, 1)) and res.translation == G.zero
+
+
+# property tests against the brute-force oracle: every automorphism
+# (automorphisms() sift) tried with every translation (_match_translation)
+
+SMALL_GROUPS = [(7,), (12,), (2, 2), (2, 4), (3, 3), (2, 6), (4, 4),
+                (2, 2, 2), (3, 9), (2, 2, 4), (6, 6)]    # |Aut| <= 288
+
+
+@functools.cache
+def _auts(factors):
+    return tuple(automorphisms(AbelianGroup(factors)))
+
+
+def _check_against_oracle(G, S1, S2):
+    res = affine_equivalent(G, S1, S2)
+    set1 = {s.coords for s in S1}
+    set2 = {s.coords for s in S2}
+    oracle = any(_match_translation(G, a, set1, set2) is not None
+                 for a in _auts(G.factors))
+    assert res.conclusive
+    assert bool(res) == oracle
+    if res:
+        assert res.images in _auts(G.factors)
+        mapped = {G.add_coords(endo_apply(G, res.images, s), res.translation.coords)
+                  for s in set1}
+        assert mapped == set2
+    return res
+
+
+@st.composite
+def group_and_set(draw):
+    G = AbelianGroup(draw(st.sampled_from(SMALL_GROUPS)))
+    idxs = draw(st.sets(st.integers(0, G.order - 1), min_size=1,
+                        max_size=min(7, G.order)))
+    return G, [G.element(G.coords_of(i)) for i in sorted(idxs)]
+
+
+def _planted_image(G, S1, data):
+    a = data.draw(st.sampled_from(_auts(G.factors)))
+    c = G.element(G.coords_of(data.draw(st.integers(0, G.order - 1))))
+    return [G.element(endo_apply(G, a, s.coords)) + c for s in S1]
+
+
+@settings(deadline=None)
+@given(group_and_set(), st.data())
+def test_affine_equivalent_finds_planted_maps(gs, data):
+    G, S1 = gs
+    assert _check_against_oracle(G, S1, _planted_image(G, S1, data))
+
+
+@settings(deadline=None)
+@given(group_and_set(), st.data())
+def test_affine_equivalent_matches_oracle_on_random_pairs(gs, data):
+    G, S1 = gs
+    idxs = data.draw(st.sets(st.integers(0, G.order - 1),
+                             min_size=len(S1), max_size=len(S1)))
+    _check_against_oracle(G, S1, [G.element(G.coords_of(i)) for i in idxs])
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_affine_equivalent_sifts_when_differences_miss_generators(data):
+    # S1 inside a coset of the proper subgroup <h>, so S1 - S1 cannot
+    # generate the group and the automorphism sift decides
+    G = AbelianGroup(data.draw(st.sampled_from(SMALL_GROUPS)))
+    h = G.element(G.coords_of(data.draw(st.integers(0, G.order - 1))))
+    assume(h.order() < G.order)
+    t = G.element(G.coords_of(data.draw(st.integers(0, G.order - 1))))
+    ks = data.draw(st.sets(st.integers(0, h.order() - 1), min_size=1))
+    S1 = [t + k * h for k in sorted(ks)]
+    if data.draw(st.booleans()):
+        S2 = _planted_image(G, S1, data)
+    else:
+        idxs = data.draw(st.sets(st.integers(0, G.order - 1),
+                                 min_size=len(S1), max_size=len(S1)))
+        S2 = [G.element(G.coords_of(i)) for i in idxs]
+    assert _check_against_oracle(G, S1, S2).sifted
+
+
+def test_affine_equivalent_checks_candidates_in_full():
+    # S1 - S1 generates Z/4 x Z/4 and the pruned search reaches a map on
+    # the difference basis that extends to no automorphism with
+    # phi(S1) + c = S2; only the final check rejects it
+    G = AbelianGroup((4, 4))
+    S1 = els(G, (0, 2), (1, 0), (1, 2), (2, 3))
+    S2 = els(G, (1, 3), (2, 2), (3, 1), (3, 2))
+    res = _check_against_oracle(G, S1, S2)
+    assert not res and not res.sifted and res.candidates > 0
