@@ -16,10 +16,14 @@ Sizes per construction, with q the field order:
 from __future__ import annotations
 
 import functools
+import logging
 import math
+import time
 
 from .fields import FieldError, FieldExtension
 from .groups import AbelianGroup, invariant_factor_form
+
+log = logging.getLogger(__name__)
 
 
 class ConstructionError(ValueError):
@@ -35,13 +39,21 @@ def _erdos_turan(F):
 
 
 def _singer(F):
+    """{dlog(x) mod n : x != 0, Tr(x) = 0} with n = q^2+q+1, from one
+    walk over the generator powers g^0 .. g^(n-1).
+
+    k < n suffices: g^n generates K^x and the trace is K-linear, so
+    Tr(g^(k+n)) = g^n Tr(g^k) vanishes exactly when Tr(g^k) does.
+    """
     L = FieldExtension(F, 3)
     n = F.q ** 2 + F.q + 1
     group = AbelianGroup.cyclic(n)
     S = set()
-    for x in range(1, L.order):
+    x = 1
+    for k in range(n):
         if L.trace_to_base(x) == 0:
-            S.add(group.element(L.dlog(x) % n))
+            S.add(group.element(k))
+        x = L.mul(x, L.generator)
     return group, S, ("multiplicative group of the cubic extension modulo "
                       "scalars, coded by discrete log mod %d" % n)
 
@@ -96,12 +108,19 @@ def construct_dense(name, F):
         raise ConstructionError(f"unknown construction {name!r}; "
                                 f"choose from {DENSE_NAMES}")
     fn, params = _CONSTRUCTIONS[name]
+    verbose = log.isEnabledFor(logging.INFO)
+    t0 = time.perf_counter() if verbose else 0.0
     group, S, note = fn(F)
     want_n, want_s = params(F.q)
     if group.order != want_n or len(S) != want_s:
         raise ConstructionError(
             f"{name}: got (|G|, |S|) = ({group.order}, {len(S)}), "
             f"expected ({want_n}, {want_s})")  # pragma: no cover
+    if verbose:
+        # the Singer walk visits the |G| powers g^0 .. g^(|G|-1)
+        walked = f", {group.order} generator powers walked" if name == "singer" else ""
+        log.info("%s over GF(%d): |G| = %d, |S| = %d%s, %.3fs",
+                 name, F.q, group.order, len(S), walked, time.perf_counter() - t0)
     return group, S, note
 
 

@@ -502,6 +502,10 @@ class FieldExtension:
     without a root in K; for degree at most 3 that is irreducibility.
     Multiplication-by-x matrices over K come straight out of this basis,
     which is what the plane machinery needs.
+
+    The trace down to K is K-linear, so it is the dot product of an
+    element's coordinates with the basis traces Tr(1), Tr(t), Tr(t^2);
+    those are computed once, as Frobenius sums x + x^q (+ x^(q^2)).
     """
 
     def __init__(self, base, degree):
@@ -516,6 +520,8 @@ class FieldExtension:
         self._factors = sorted(int(r) for r in sympy.factorint(self.order - 1))
         self.generator = self._find_generator()
         self._log = None
+        self._basis_traces = tuple(self._frobenius_trace(self.encode([0] * i + [1]))
+                                   for i in range(degree))
 
     def _canonical_modulus(self):
         K, e = self.base, self.degree
@@ -553,10 +559,6 @@ class FieldExtension:
         for c in reversed(list(coeffs)):
             code = code * self.base.q + c
         return code
-
-    def embed(self, base_code):
-        """The base field element as an extension element."""
-        return base_code
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -629,7 +631,7 @@ class FieldExtension:
             self._log = log
         return self._log[a]
 
-    def trace_to_base(self, a):
+    def _frobenius_trace(self, a):
         """x + x^q + ... down to the base field; returns a base code."""
         q = self.base.q
         acc, term = a, a
@@ -640,6 +642,15 @@ class FieldExtension:
         if any(co[1:]):
             raise FieldError("trace landed outside the base field")  # pragma: no cover
         return co[0]
+
+    def trace_to_base(self, a):
+        """The trace down to the base field, as the dot product of the
+        coordinates of a with the basis traces; returns a base code."""
+        K = self.base
+        acc = 0
+        for c, tr in zip(self.coeffs(a), self._basis_traces):
+            acc = K.add(acc, K.mul(c, tr))
+        return acc
 
     # -- K-linear maps in the basis {1, t, t^2} ------------------------------
 

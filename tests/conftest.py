@@ -18,3 +18,14 @@ def brute_sidon(group, idxs):
 
 def cyclic(n):
     return AbelianGroup((n,))
+
+
+def frobenius_trace(ext, x):
+    """Reference trace of x in a FieldExtension down to its base field:
+    the Frobenius sum x + x^q (+ x^(q^2)), as an extension code (base
+    field elements keep their own codes)."""
+    acc, term = x, x
+    for _ in range(ext.degree - 1):
+        term = ext.pow(term, ext.base.q)
+        acc = ext.add(acc, term)
+    return acc

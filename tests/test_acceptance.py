@@ -99,8 +99,6 @@ def test_01_construction_parameter_tables():
     with budget(10, "check 1, parameter tables"):
         for name, (order_of, size_of) in shapes.items():
             for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
-                if name == "singer" and q > 13:
-                    continue
                 F = field(q)
                 if name == "erdos_turan" and q % 2 == 0:
                     with pytest.raises(ConstructionError):
@@ -110,6 +108,10 @@ def test_01_construction_parameter_tables():
                 assert group.order == order_of(q), (name, q)
                 assert len(S) == size_of(q), (name, q)
                 assert is_sidon(group, S).sidon, (name, q)
+    with budget(1, "check 1, Singer over GF(31)"):
+        group, S, _ = construct_dense("singer", field(31))
+    assert (group.order, len(S)) == (993, 32)
+    assert is_sidon(group, S).sidon
 
 
 def test_02_sidon_iff_partial_linear_space():

@@ -1,7 +1,9 @@
+import logging
 import random
 
 import pytest
 
+from conftest import frobenius_trace
 from sidonkit.dense import (
     DENSE_NAMES,
     ConstructionError,
@@ -12,12 +14,13 @@ from sidonkit.dense import (
     planar_graph,
     polarization,
 )
-from sidonkit.fields import field_create
+from sidonkit.fields import FieldExtension, field_create
 from sidonkit.sidon import counting_bound, is_perfect_difference_set, is_sidon
 
 FIELDS = {q: field_create(p, d) for q, (p, d) in
           {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
-           7: (7, 1), 8: (2, 3), 9: (3, 2), 13: (13, 1)}.items()}
+           7: (7, 1), 8: (2, 3), 9: (3, 2), 11: (11, 1), 13: (13, 1),
+           16: (2, 4), 31: (31, 1)}.items()}
 
 # (construction, expected group order as a function of q, expected size)
 SHAPES = {
@@ -49,10 +52,38 @@ def test_construction_shapes_and_sidon(name, q):
     assert isinstance(note, str) and note
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 31])
 def test_singer_gives_perfect_difference_set(q):
     group, S, _ = construct_dense("singer", FIELDS[q])
     assert is_perfect_difference_set(group, S)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_singer_is_the_trace_zero_set_mod_scalars(q):
+    # brute force over all of GF(q^3)^x: {dlog(x) mod n : Tr(x) = 0}
+    E = FieldExtension(FIELDS[q], 3)
+    group, S, _ = construct_dense("singer", FIELDS[q])
+    n = group.order
+    want = {E.dlog(x) % n for x in range(1, E.order) if frobenius_trace(E, x) == 0}
+    assert {e.coords[0] for e in S} == want
+
+
+def test_construct_dense_logs_one_line_per_call(caplog):
+    with caplog.at_level(logging.INFO, logger="sidonkit"):
+        construct_dense("singer", FIELDS[5])
+        construct_dense("bose", FIELDS[5])
+    lines = [r.getMessage() for r in caplog.records if r.name == "sidonkit.dense"]
+    assert len(lines) == 2
+    assert lines[0].startswith(
+        "singer over GF(5): |G| = 31, |S| = 6, 31 generator powers walked, ")
+    assert lines[1].startswith("bose over GF(5): |G| = 24, |S| = 5, ")
+    assert "generator powers" not in lines[1]
+
+
+def test_construct_dense_is_silent_without_info(caplog):
+    with caplog.at_level(logging.WARNING, logger="sidonkit"):
+        construct_dense("singer", FIELDS[5])
+    assert not [r for r in caplog.records if r.name == "sidonkit.dense"]
 
 
 @pytest.mark.parametrize("name", ["erdos_turan", "singer", "bose", "spence"])

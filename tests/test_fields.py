@@ -1,7 +1,11 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import frobenius_trace
 from sidonkit.fields import (
     FieldError,
     FieldExtension,
@@ -132,6 +136,39 @@ def test_extension_trace_lands_in_base():
     traces = [E.trace_to_base(x) for x in range(E.order)]
     assert all(0 <= t < K.q for t in traces)
     assert set(traces) == set(range(K.q))
+
+
+# every base field with q <= 9
+SMALL_BASES = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def extension(p, d, degree):
+    return FieldExtension(field_create(p, d), degree)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("p,d", SMALL_BASES)
+def test_linear_trace_matches_frobenius_sum(p, d, degree):
+    E = extension(p, d, degree)
+    for x in range(E.order):
+        assert E.trace_to_base(x) == frobenius_trace(E, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(11, 1), (2, 4), (3, 3), (31, 1)]),
+       st.sampled_from([2, 3]), st.data())
+def test_linear_trace_is_the_k_linear_frobenius_sum(pd, degree, data):
+    # larger fields than the exhaustive check: Tr(c*x + y) = c Tr(x) + Tr(y)
+    # for a base scalar c, and each trace equals the Frobenius sum
+    E = extension(*pd, degree)
+    K = E.base
+    x, y = (data.draw(st.integers(0, E.order - 1)) for _ in range(2))
+    c = data.draw(st.integers(0, K.q - 1))
+    for a in (x, y):
+        assert E.trace_to_base(a) == frobenius_trace(E, a)
+    lhs = E.trace_to_base(E.add(E.mul(c, x), y))
+    assert lhs == K.add(K.mul(c, E.trace_to_base(x)), E.trace_to_base(y))
 
 
 def test_extension_mult_matrix_is_multiplicative():
