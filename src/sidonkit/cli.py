@@ -144,8 +144,8 @@ def cmd_construct(args):
         "size": len(S),
         "note": note,
         "sidon": report.sidon,
-        "perfect_difference_set": len(report.t_set) == 1,
-        "t_set_size": len(report.t_set),
+        "perfect_difference_set": report.t_set_size == 1,
+        "t_set_size": report.t_set_size,
     }
     payload.update(extra)
     _emit(payload)
@@ -157,7 +157,7 @@ def cmd_verify(args):
     S = _parse_elements(args.set, group)
     report = is_sidon(group, S)
     payload = report.to_json()
-    payload["perfect_difference_set"] = report.sidon and len(report.t_set) == 1
+    payload["perfect_difference_set"] = report.sidon and report.t_set_size == 1
     _emit(payload)
     return EXIT_OK
 

@@ -313,29 +313,42 @@ def abelian_basis(elements, op, identity):
     Works by splitting off a maximal-order cyclic factor and recursing on
     the quotient; quotient elements are coset representatives and the lift
     of a quotient basis element h is corrected by a power of b so its true
-    order drops to its quotient order.
+    order drops to its quotient order.  Orders come from the factorisation
+    of |group| (strip each prime p while g^(m/p) is the identity) with
+    square-and-multiply powers, so each costs O(log^2 |group|) operations.
     """
     elems = list(elements)
     n = len(elems)
     if n == 1:
         return []
     pos = {g: i for i, g in enumerate(elems)}
+    primes = sympy.primefactors(n)
 
     def power(g, k):
         acc = identity
-        for _ in range(k):
-            acc = op(acc, g)
+        while k:
+            if k & 1:
+                acc = op(acc, g)
+            k >>= 1
+            if k:
+                g = op(g, g)
         return acc
 
     def order_of(g):
-        k, x = 1, g
-        while x != identity:
-            x = op(x, g)
-            k += 1
-        return k
+        m = n
+        for p in primes:
+            while m % p == 0 and power(g, m // p) == identity:
+                m //= p
+        return m
 
-    b = min(elems, key=lambda g: (-order_of(g), pos[g]))
-    m = order_of(b)
+    # the first element of largest order; none can exceed n, so stop there
+    b, m = identity, 0
+    for g in elems:
+        o = order_of(g)
+        if o > m:
+            b, m = g, o
+            if m == n:
+                break
     if m == n:
         return [(b, m)]
 
@@ -384,13 +397,20 @@ class GroupPresentation:
         moduli = [o for _, o in basis]
         self.group, convert = invariant_factor_form(moduli)
         self.basis = basis
+        # prod b_i^k_i for every exponent tuple in itertools.product order,
+        # each from its prefix by one operation: |group| - 1 in all
+        table = [identity]
+        for bel, o in basis:
+            row = []
+            for g in table:
+                row.append(g)
+                for _ in range(o - 1):
+                    g = op(g, bel)
+                    row.append(g)
+            table = row
         self.to_group = {}
         self.from_group = {}
-        for ks in itertools.product(*(range(o) for o in moduli)):
-            g = identity
-            for (bel, _), k in zip(basis, ks):
-                for _ in range(k):
-                    g = op(g, bel)
+        for ks, g in zip(itertools.product(*(range(o) for o in moduli)), table):
             img = convert(ks)
             self.to_group[g] = img
             self.from_group[img] = g

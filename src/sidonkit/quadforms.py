@@ -10,10 +10,15 @@ case uniformly, including squaring two-torsion classes such as
 
 from __future__ import annotations
 
+import logging
 import math
+import operator
+import time
 from functools import total_ordering
 
 from .groups import GroupPresentation
+
+log = logging.getLogger(__name__)
 
 
 class FormError(ValueError):
@@ -158,23 +163,24 @@ def principal_form(disc):
 
 
 def reduced_forms(disc):
-    """All primitive reduced forms of the given discriminant, sorted."""
+    """All primitive reduced forms of the given discriminant, sorted.
+
+    Loops over |b| rather than a (Cohen, Algorithm 5.3.5): b^2 = disc
+    (mod 4) forces b = disc (mod 2), 3a^2 <= -disc bounds |b| <= a, and
+    for each b the admissible a are the divisors of ac = (b^2 - disc)/4
+    in [|b|, sqrt(ac)], so a <= c holds by construction.
+    """
     _check_disc(disc)
     forms = []
-    a_max = math.isqrt(-disc // 3)
-    for a in range(1, a_max + 1):
-        for b in range(-a + 1, a + 1):
-            num = b * b - disc
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            if math.gcd(a, math.gcd(b, c)) != 1:
+    for b in range(disc % 2, math.isqrt(-disc // 3) + 1, 2):
+        ac = (b * b - disc) // 4
+        for a in [a for a in range(max(b, 1), math.isqrt(ac) + 1) if not ac % a]:
+            c = ac // a
+            if math.gcd(a, b, c) != 1:
                 continue
             forms.append(BinaryQF(a, b, c))
+            if 0 < b < a < c:
+                forms.append(BinaryQF(a, -b, c))
     return sorted(forms)
 
 
@@ -226,13 +232,24 @@ class ClassGroup:
 
     def __init__(self, disc):
         _check_disc(disc)
+        verbose = log.isEnabledFor(logging.INFO)
+        t0 = time.perf_counter() if verbose else 0.0
         self.disc = disc
         self.forms = tuple(f.reduced() for f in reduced_forms(disc))
         self.h = len(self.forms)
-        self._pres = GroupPresentation(
-            self.forms, lambda f, g: f * g, principal_form(disc)
-        )
+        op = operator.mul
+        if verbose:
+            ops = [0]
+
+            def op(f, g):
+                ops[0] += 1
+                return f * g
+        self._pres = GroupPresentation(self.forms, op, principal_form(disc))
         self.group = self._pres.group
+        if verbose:
+            log.info("class group of discriminant %d: h = %d, invariants %s, "
+                     "%d compositions, %.3fs", disc, self.h,
+                     list(self.group.factors), ops[0], time.perf_counter() - t0)
 
     def element(self, form):
         return self._pres.to_group[form.reduced()]

@@ -29,3 +29,30 @@ def frobenius_trace(ext, x):
         term = ext.pow(term, ext.base.q)
         acc = ext.add(acc, term)
     return acc
+
+
+def naive_order(g, op, identity):
+    """Reference order of g under op: one multiplication per step."""
+    k, x = 1, g
+    while x != identity:
+        x = op(x, g)
+        k += 1
+    return k
+
+
+def naive_presentation(basis, op, identity):
+    """Reference presentation table: (ks, b_1^k_1 * b_2^k_2 * ...) for every
+    exponent tuple in itertools.product order, one product of powers each."""
+    powers = []
+    for b, o in basis:
+        row = [identity]
+        for _ in range(o - 1):
+            row.append(op(row[-1], b))
+        powers.append(row)
+    table = []
+    for ks in itertools.product(*(range(o) for _, o in basis)):
+        g = identity
+        for row, k in zip(powers, ks):
+            g = op(g, row[k])
+        table.append((ks, g))
+    return table

@@ -39,6 +39,7 @@ from sidonkit.planes3 import (
     orbit_analysis,
     recover_constructions,
 )
+from sidonkit.quadforms import ClassGroup
 from sidonkit.search import admissible_orders, max_sidon
 from sidonkit.search import test_T_subgroup as t_subgroup_census
 from sidonkit.search import test_extendable as extendable_census
@@ -318,6 +319,16 @@ def test_07_sparse_constructions():
         checks = hybrid.details["checks"]
         assert checks["rounding_faithful"]["ok"] and checks["phi_injective"]["ok"]
         assert hybrid.report.sidon
+
+    # sets far below sqrt|G|: the verdict costs O(|S|^2), not O(|G|)
+    G = cyclic(1 << 22)
+    with budget(0.1, "check 7, is_sidon of 10 elements in Z/2^22"):
+        rep = is_sidon(G, els(G, *(3 ** i for i in range(10))))
+        assert rep.sidon and rep.t_set_size == G.order - 10 * 9
+
+    with budget(2, "check 7, ClassGroup(-10000019)"):
+        cg = ClassGroup(-10000019)
+        assert cg.h == 1275 and cg.group.factors == (1275,)
 
 
 def test_08_search_matches_brute_force():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import naive_order, naive_presentation
 from sidonkit.groups import (
     AbelianGroup,
     GroupError,
@@ -13,6 +14,7 @@ from sidonkit.groups import (
     invariant_factor_form,
     subgroup_generated,
 )
+from sidonkit.quadforms import principal_form, reduced_forms
 
 
 def test_constructor_and_basic_attributes():
@@ -154,3 +156,38 @@ def test_group_presentation_matches_multiplication():
             assert pres.to_group[a * b % 21] == pres.to_group[a] + pres.to_group[b]
     for u, g in pres.to_group.items():
         assert pres.from_group[g] == u
+
+
+# oracle checks: orders one multiplication at a time, presentation tables
+# built product by product (conftest.naive_order / naive_presentation)
+
+def _check_against_naive(elems, op, identity):
+    pres = GroupPresentation(elems, op, identity)
+    basis = pres.basis
+    moduli = [o for _, o in basis]
+    assert moduli == [naive_order(b, op, identity) for b, _ in basis]
+    assert moduli == sorted(moduli, reverse=True)
+    assert math.prod(moduli) == len(elems)
+    if basis:
+        # b_1 is the first element of largest order (the exponent m_1 of a
+        # group the table below shows is Z/m_1 x ...)
+        before = elems[:elems.index(basis[0][0])]
+        assert all(naive_order(g, op, identity) < moduli[0] for g in before)
+    _, convert = invariant_factor_form(moduli)
+    want = {g: convert(ks) for ks, g in naive_presentation(basis, op, identity)}
+    assert pres.to_group == want
+    assert pres.from_group == {img: g for g, img in want.items()}
+
+
+def test_unit_groups_match_naive_oracle():
+    for m in range(2, 201):
+        units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        _check_against_naive(units, lambda a, b, m=m: a * b % m, 1)
+
+
+@pytest.mark.parametrize("lo", range(0, 5000, 1000))
+def test_class_groups_match_naive_oracle(lo):
+    for disc in range(-lo - 3, -lo - 1001, -1):
+        if disc % 4 in (0, 1):
+            _check_against_naive(reduced_forms(disc), lambda f, g: f * g,
+                                 principal_form(disc))

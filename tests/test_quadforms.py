@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import pytest
 import sympy
@@ -148,3 +149,19 @@ def test_exact_division_guard_never_trips_on_valid_input():
     for f in forms:
         acc = acc * f
         assert acc.disc == -479
+
+
+def test_class_group_logs_one_line(caplog):
+    with caplog.at_level(logging.INFO, logger="sidonkit"):
+        ClassGroup(-84)
+    lines = [r.getMessage() for r in caplog.records if r.name == "sidonkit.quadforms"]
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "class group of discriminant -84: h = 4, invariants [2, 2], ")
+    assert " compositions, " in lines[0] and lines[0].endswith("s")
+
+
+def test_class_group_is_silent_without_info(caplog):
+    with caplog.at_level(logging.WARNING, logger="sidonkit"):
+        ClassGroup(-84)
+    assert not [r for r in caplog.records if r.name == "sidonkit.quadforms"]

@@ -107,6 +107,76 @@ def test_energy_counts_all_pair_sums():
     assert rep.energy == sum(c * c for c in sums.values())
 
 
+# is_sidon against brute force: witness as the first repeated difference
+# in (i, j) order over the sorted set, energy from pair sums, T-set from a
+# scan of the whole group
+
+def _oracle_report(G, S):
+    elems = sorted({s.coords for s in S})
+    pairs = [(a, b) for a in elems for b in elems if a != b]
+    diffs = [G.sub_coords(a, b) for a, b in pairs]
+    witness = None
+    for t, (a, b) in enumerate(pairs):
+        earlier = [pairs[u] for u in range(t) if diffs[u] == diffs[t]]
+        if earlier:
+            c, d = earlier[0]
+            # c - d = a - b  =>  c + b = a + d
+            witness = tuple(x for pr in sorted([sorted((c, b)), sorted((a, d))])
+                            for x in pr)
+            break
+    sums = {}
+    for a in elems:
+        for b in elems:
+            v = G.add_coords(a, b)
+            sums[v] = sums.get(v, 0) + 1
+    energy = sum(c * c for c in sums.values())
+    zero = (0,) * G.rank
+    t_set = [g.coords for g in G.elements() if g.coords == zero or g.coords not in diffs]
+    return witness, energy, t_set
+
+
+@st.composite
+def sidon_instance(draw):
+    if draw(st.booleans()):
+        factors = (draw(st.integers(2, 80)),)
+    else:
+        a = draw(st.integers(2, 9))
+        factors = (a, a * draw(st.integers(1, 9)))
+    G = AbelianGroup(factors)
+    idxs = draw(st.lists(st.integers(0, G.order - 1), max_size=min(8, G.order)))
+    return G, [G.element(G.coords_of(i)) for i in idxs]
+
+
+@settings(deadline=None)
+@given(sidon_instance())
+def test_is_sidon_matches_brute_force_oracle(gs):
+    G, S = gs
+    rep = is_sidon(G, S)
+    witness, energy, t_set = _oracle_report(G, S)
+    assert rep.sidon == (witness is None)
+    assert (None if rep.witness is None else tuple(g.coords for g in rep.witness)) == witness
+    assert rep.energy == energy
+    assert [g.coords for g in rep.t_set] == t_set
+    assert rep.t_set_size == len(rep.t_set)
+    assert rep.to_json()["t_set"] == [g.to_json() for g in rep.t_set]
+
+
+def test_is_sidon_counts_differences_past_255():
+    # {0, ..., 299} in Z/1000: difference 1 occurs 299 times; every
+    # difference d in +-[1, 299] is distinct mod 1000
+    G = cyclic(1000)
+    k = 300
+    rep = is_sidon(G, els(G, *range(k)))
+    assert not rep.sidon
+    assert tuple(g.coords[0] for g in rep.witness) == (0, 2, 1, 1)
+    assert rep.energy == (2 * k ** 3 + k) // 3 == sum(
+        (k - abs(d)) ** 2 for d in range(-k + 1, k))
+    assert rep.t_set_size == 1000 - 2 * (k - 1) == len(rep.t_set)
+    assert [g.coords[0] for g in rep.t_set] == [0] + list(range(k, 1000 - k + 1))
+    assert rep.to_json()["t_set"] == [g.to_json() for g in rep.t_set]
+    assert rep.to_json(compact=True)["t_set_size"] == rep.t_set_size
+
+
 def test_subgroup_union_cover_positive():
     G = cyclic(6)
     T = els(G, 0, 2, 4)
