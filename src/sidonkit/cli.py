@@ -50,6 +50,7 @@ from .search import (
 )
 from .sidon import is_sidon
 from .sparse import (
+    FRAMEWORK_FIELDS,
     BudgetError,
     FrameworkSpec,
     SparseError,
@@ -211,28 +212,24 @@ def cmd_planes(args):
     raise PlaneError(f"unknown planes action {args.action!r}")
 
 
+# the sparse constructions that take one integer, by their --option
+SPARSE_ONE_PARAM = {
+    "log_primes": (log_primes, "X"),
+    "quotient_ring_primes": (quotient_ring_primes, "m"),
+    "gaussian_angles": (gaussian_angles, "n"),
+    "class_group_primes": (class_group_primes, "D"),
+    "real_quadratic": (real_quadratic, "D"),
+}
+
+
 def cmd_sparse(args):
     name = args.name
-    if name == "log_primes":
-        if args.X is None:
-            raise SparseError("log_primes needs --X")
-        result = log_primes(args.X)
-    elif name == "quotient_ring_primes":
-        if args.m is None:
-            raise SparseError("quotient_ring_primes needs --m")
-        result = quotient_ring_primes(args.m)
-    elif name == "gaussian_angles":
-        if args.n is None:
-            raise SparseError("gaussian_angles needs --n")
-        result = gaussian_angles(args.n)
-    elif name == "class_group_primes":
-        if args.D is None:
-            raise SparseError("class_group_primes needs --D")
-        result = class_group_primes(args.D)
-    elif name == "real_quadratic":
-        if args.D is None:
-            raise SparseError("real_quadratic needs --D")
-        result = real_quadratic(args.D)
+    if name in SPARSE_ONE_PARAM:
+        fn, param = SPARSE_ONE_PARAM[name]
+        value = getattr(args, param)
+        if value is None:
+            raise SparseError(f"{name} needs --{param}")
+        result = fn(value)
     elif name == "cubic_graph":
         if args.q is None:
             raise SparseError("cubic_graph needs --q")
@@ -353,17 +350,7 @@ def build_parser():
 
     p = sub.add_parser("sparse", help="constructions from prime numbers")
     p.add_argument(
-        "name",
-        choices=(
-            "log_primes",
-            "quotient_ring_primes",
-            "gaussian_angles",
-            "class_group_primes",
-            "real_quadratic",
-            "cubic_graph",
-            "perturb",
-            "framework",
-        ),
+        "name", choices=tuple(SPARSE_ONE_PARAM) + ("cubic_graph", "perturb", "framework")
     )
     p.add_argument("--X", type=int)
     p.add_argument("--m", type=int)
@@ -373,9 +360,7 @@ def build_parser():
     p.add_argument("--subset", help="comma separated field codes")
     p.add_argument("--values", help="comma separated integers")
     p.add_argument("--offsets", help="offsets aligned with sorted --values")
-    p.add_argument("--framework-field", default="rationals",
-                   choices=("rationals", "gaussian", "imaginary_quadratic",
-                            "real_quadratic"))
+    p.add_argument("--framework-field", default="rationals", choices=FRAMEWORK_FIELDS)
     p.add_argument("--scale", type=int)
     p.add_argument("--mods", help="unit-group moduli, e.g. 11")
     p.add_argument("--rounding", default="floor", choices=("floor", "nearest"))

@@ -20,22 +20,6 @@ class PellError(ValueError):
     pass
 
 
-def sqrt_cf(D):
-    """Continued fraction of sqrt(D): (a0, [a1, ..., aL]) with period L."""
-    a0 = math.isqrt(D)
-    if a0 * a0 == D:
-        raise PellError(f"{D} is a perfect square")
-    period = []
-    m, d, a = 0, 1, a0
-    while True:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        period.append(a)
-        if d == 1:
-            return a0, period
-
-
 class CFData:
     """Everything the sparse constructions need from one period scan.
 

@@ -7,6 +7,10 @@ idx(-c).  Both are harmless: among all translated or negated images of
 a set that contain 0, one with the smallest possible second element
 satisfies the inequality (negating an offender produces an image whose
 second element is smaller).
+
+max_sidon, enumerate_sidon and extend_sidon all run one walker, _dfs,
+which calls a visit(stack, start) hook at every node: True stops the
+walk, False skips the node's children, None descends.
 """
 
 from __future__ import annotations
@@ -15,12 +19,7 @@ import math
 
 import sympy
 
-from .groups import (
-    AbelianGroup,
-    GroupError,
-    automorphism_perm,
-    automorphisms,
-)
+from .groups import AbelianGroup, automorphism_perm, automorphisms
 from .sidon import counting_bound, is_perfect_difference_set, is_sidon, subgroup_union_cover
 
 TABLE_CAP = 512
@@ -70,6 +69,57 @@ class SearchResult:
         }
 
 
+def _dfs(sub, neg, stack, used, start, budget, label, visit, halve):
+    """Depth-first walk over the Sidon sets that extend stack by indices >= start.
+
+    used marks every difference of stack and its negative; visit follows
+    the module docstring's hook contract.  halve applies the idx(c) <=
+    idx(-c) reduction to the second element, which is sound only for the
+    start stack [0].  Returns the number of nodes visited.
+    """
+    n = len(neg)
+    nodes = 0
+
+    def walk(start):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"{label} budget {budget} exhausted")
+        verdict = visit(stack, start)
+        if verdict is not None:
+            return verdict
+        halving = halve and len(stack) == 1
+        for c in range(start, n):
+            if halving and neg[c] < c:
+                continue
+            row = sub[c]
+            fresh = []
+            ok = True
+            for s in stack:
+                d = row[s]
+                if used[d] or used[neg[d]] or d == neg[d]:
+                    ok = False
+                    break
+                used[d] = 1
+                used[neg[d]] = 1
+                fresh.append(d)
+            if ok:
+                stack.append(c)
+                done = walk(c + 1)
+                stack.pop()
+            else:
+                done = False
+            for d in fresh:
+                used[d] = 0
+                used[neg[d]] = 0
+            if done:
+                return True
+        return False
+
+    walk(start)
+    return nodes
+
+
 def max_sidon(group, budget=5_000_000):
     """A maximum Sidon set, found by depth-first search.
 
@@ -82,55 +132,23 @@ def max_sidon(group, budget=5_000_000):
         return SearchResult(group, (0,), 1, True, 1)
     sub, neg = _tables(group)
     bound = counting_bound(n)
-    used = bytearray(n)
-    best = [0]
-    best_set = [(0,)]
-    nodes = [0]
+    best = [()]
 
-    def walk(stack, start):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded()
-        if len(stack) > best[0]:
-            best[0] = len(stack)
-            best_set[0] = tuple(stack)
-            if best[0] == bound:
+    def visit(stack, start):
+        if len(stack) > len(best[0]):
+            best[0] = tuple(stack)
+            if len(stack) == bound:
                 return True
         # even taking every remaining index cannot beat the best
-        if len(stack) + (n - start) <= best[0]:
+        if len(stack) + (n - start) <= len(best[0]):
             return False
-        for c in range(start, n):
-            if len(stack) == 1 and neg[c] < c:
-                continue
-            fresh = []
-            ok = True
-            for s in stack:
-                d = sub[c][s]
-                if used[d] or used[neg[d]] or d == neg[d]:
-                    ok = False
-                    break
-                used[d] = 1
-                used[neg[d]] = 1
-                fresh.append(d)
-            if ok:
-                stack.append(c)
-                done = walk(stack, c + 1)
-                stack.pop()
-            else:
-                done = False
-            for d in fresh:
-                used[d] = 0
-                used[neg[d]] = 0
-            if done:
-                return True
-        return False
+        return None
 
     try:
-        complete = True
-        walk([0], 1)
+        nodes = _dfs(sub, neg, [0], bytearray(n), 1, budget, "search", visit, True)
     except BudgetExceeded:
-        complete = False
-    return SearchResult(group, best_set[0], nodes[0], complete, bound)
+        return SearchResult(group, best[0], budget + 1, False, bound)
+    return SearchResult(group, best[0], nodes, True, bound)
 
 
 def canonical_form(group, S, sub=None):
@@ -157,49 +175,21 @@ def enumerate_sidon(group, size=None, budget=5_000_000):
     cardinality; None returns every nonempty class, sorted.
     """
     n = group.order
-    sub, neg = _tables(group)
-    used = bytearray(n)
-    out = []
-    nodes = [0]
-
-    def emit(stack):
-        if size is not None and len(stack) != size:
-            return
-        cand = tuple(stack)
-        if canonical_form(group, [group.coords_of(i) for i in cand], sub) == cand:
-            out.append(cand)
-
-    def walk(stack, start):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded(f"enumeration budget {budget} exhausted")
-        emit(stack)
-        if size is not None and len(stack) == size:
-            return
-        for c in range(start, n):
-            if len(stack) == 1 and neg[c] < c:
-                continue
-            fresh = []
-            ok = True
-            for s in stack:
-                d = sub[c][s]
-                if used[d] or used[neg[d]] or d == neg[d]:
-                    ok = False
-                    break
-                used[d] = 1
-                used[neg[d]] = 1
-                fresh.append(d)
-            if ok:
-                stack.append(c)
-                walk(stack, c + 1)
-                stack.pop()
-            for d in fresh:
-                used[d] = 0
-                used[neg[d]] = 0
-
     if n == 1:
         return [(0,)] if size in (None, 1) else []
-    walk([0], 1)
+    sub, neg = _tables(group)
+    out = []
+
+    def visit(stack, start):
+        if size is None or len(stack) == size:
+            cand = tuple(stack)
+            if canonical_form(group, [group.coords_of(i) for i in cand], sub) == cand:
+                out.append(cand)
+            if size is not None:
+                return False
+        return None
+
+    _dfs(sub, neg, [0], bytearray(n), 1, budget, "enumeration", visit, True)
     return sorted(out)
 
 
@@ -227,7 +217,6 @@ def extend_sidon(group, S, target, budget=5_000_000):
     Returns a SearchResult; size == target and complete=True on success,
     a smaller set with complete=True when no completion exists.
     """
-    n = group.order
     sub, neg = _tables(group)
     idxs = sorted({group.index_of(group.element(s).coords) for s in S})
     rep = is_sidon(group, [group.coords_of(i) for i in idxs])
@@ -235,50 +224,22 @@ def extend_sidon(group, S, target, budget=5_000_000):
         raise SearchError(f"starting set is not Sidon: {rep.witness}")
     if len(idxs) > target:
         raise SearchError("starting set is already larger than the target")
-    used = bytearray(n)
+    used = bytearray(group.order)
     for i, a in enumerate(idxs):
         for b in idxs[:i]:
             used[sub[a][b]] = 1
             used[sub[b][a]] = 1
-    nodes = [0]
-    found = [None]
+    found = [tuple(idxs)]
 
-    def walk(stack, start):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded(f"extension budget {budget} exhausted")
+    def visit(stack, start):
         if len(stack) == target:
             found[0] = tuple(stack)
             return True
-        for c in range(start, n):
-            if c in stack:
-                continue
-            fresh = []
-            ok = True
-            for s in stack:
-                d = sub[c][s]
-                if used[d] or used[neg[d]] or d == neg[d]:
-                    ok = False
-                    break
-                used[d] = 1
-                used[neg[d]] = 1
-                fresh.append(d)
-            if ok:
-                stack.append(c)
-                done = walk(stack, c + 1)
-                stack.pop()
-            else:
-                done = False
-            for d in fresh:
-                used[d] = 0
-                used[neg[d]] = 0
-            if done:
-                return True
-        return False
+        return None
 
-    if walk(list(idxs), 0):
-        return SearchResult(group, found[0], nodes[0], True)
-    return SearchResult(group, idxs, nodes[0], True)
+    # S need not contain 0, so the negation halving does not apply
+    nodes = _dfs(sub, neg, list(idxs), used, 0, budget, "extension", visit, False)
+    return SearchResult(group, found[0], nodes, True)
 
 
 class TesterReport:

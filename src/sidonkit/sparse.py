@@ -15,6 +15,7 @@ of primes.  Both checks use exact integer arithmetic only.
 
 from __future__ import annotations
 
+import collections
 import math
 
 import mpmath
@@ -109,24 +110,14 @@ class SparseResult:
 
 def log_primes(X):
     """{floor(3 X^2 log p) : p <= X prime}, a Sidon set of integers."""
-    if X < 2:
-        raise SparseError(f"need X >= 2, got {X}")
-    primes = list(sympy.primerange(2, X + 1))
-    scale = 3 * X * X
-    values = []
-    margin = 1.0
-    for p in primes:
-        v, m = _certified_floor(
-            lambda p=p: scale * mpmath.log(p), f"{scale}*log({p})"
-        )
-        values.append(v)
-        margin = min(margin, m)
+    emb = _fw_rationals(FrameworkSpec("rationals", X=X))
+    values = [emb.details["arch_values"][p] for p in emb.primes]
     ok, witness = is_sidon_z(values)
     details = {
         "X": X,
-        "scale": scale,
-        "primes": primes,
-        "floor_margin": margin,
+        "scale": emb.details["scale"],
+        "primes": emb.primes,
+        "floor_margin": emb.margin,
         "sidon_in_z": ok,
         "witness": witness,
     }
@@ -209,17 +200,13 @@ def quotient_ring_primes(m):
     """Primes 1 < p <= sqrt(m) coprime to m, as a Sidon set in (Z/m)^*."""
     if m < 4:
         raise SparseError(f"need m >= 4, got {m}")
-    units = UnitGroup(m)
-    primes = [
-        p
-        for p in sympy.primerange(2, math.isqrt(m) + 1)
-        if p * p <= m and math.gcd(p, m) == 1
-    ]
-    values = [units.encode(p) for p in primes]
+    emb = _fw_rationals(FrameworkSpec("rationals", X=math.isqrt(m), mods=(m,)))
+    [units] = emb.aux["units"]
+    values = [units.group.element(emb.coords[p]) for p in emb.primes]
     report = is_sidon(units.group, values)
     details = {
         "m": m,
-        "primes": primes,
+        "primes": emb.primes,
         "unit_group": list(units.group.factors),
         "generators": units.generators,
     }
@@ -252,14 +239,13 @@ def gaussian_direction(p):
     return re * re - im * im, 2 * re * im
 
 
+def _angle(re, im, n):
+    return n * (mpmath.atan2(im, re) % (2 * mpmath.pi)) / (2 * mpmath.pi)
+
+
 def angle_floor(re, im, n):
     """floor(n * atan2(im, re) / (2 pi)) with the angle taken in [0, 2 pi)."""
-    return _certified_floor(
-        lambda: n
-        * (mpmath.atan2(im, re) % (2 * mpmath.pi))
-        / (2 * mpmath.pi),
-        f"angle({re},{im})*{n}",
-    )
+    return _certified_floor(lambda: _angle(re, im, n), f"angle({re},{im})*{n}")
 
 
 def gaussian_angles(n):
@@ -268,19 +254,8 @@ def gaussian_angles(n):
     Sidon as integers (certified); the same values taken mod n are
     tested as well and the outcome is reported without being required.
     """
-    if n < 16:
-        raise SparseError(f"need n >= 16, got {n}")
-    primes = [p for p in sympy.primerange(5, math.isqrt(n) // 4 + 1) if p % 4 == 1]
-    primes = [p for p in primes if 16 * p * p <= n]
-    values = []
-    directions = {}
-    margin = 1.0
-    for p in primes:
-        re, im = gaussian_direction(p)
-        directions[p] = [re, im]
-        v, mg = angle_floor(re, im, n)
-        values.append(v)
-        margin = min(margin, mg)
+    emb = _fw_gaussian(FrameworkSpec("gaussian", n=n))
+    values = [emb.details["arch_values"][p] for p in emb.primes]
     ok, witness = is_sidon_z(values)
     if not ok:
         raise SparseError(f"angle values collide: {witness}")
@@ -288,9 +263,9 @@ def gaussian_angles(n):
     report = is_sidon(mod_group, [mod_group.element(v % n) for v in values])
     details = {
         "n": n,
-        "primes": primes,
-        "directions": directions,
-        "floor_margin": margin,
+        "primes": emb.primes,
+        "directions": emb.details["directions"],
+        "floor_margin": emb.margin,
         "sidon_in_z": ok,
         "sidon_mod_n": report.sidon,
     }
@@ -307,25 +282,15 @@ def class_group_primes(D):
     or its inverse is already chosen, or when it is two-torsion, so the
     final set has no solutions to x + y = 0.
     """
-    if D < 1:
-        raise SparseError(f"need D >= 1, got {D}")
-    if any(e > 1 for e in sympy.factorint(D).values()):
-        raise SparseError(f"{D} is not squarefree")
-    disc = fundamental_discriminant(D)
-    cg = ClassGroup(disc)
-    group = cg.group
+    emb = _fw_imaginary(FrameworkSpec("imaginary_quadratic", D=D))
+    disc = emb.details["discriminant"]
+    group = emb.aux["class_group"].group
     zero = group.zero
     chosen = []
     records = {}
-    skipped = {}
-    for p in sympy.primerange(2, max(2, math.isqrt(math.isqrt(D)) // 2 + 2)):
-        if (2 * p) ** 4 >= D:
-            break
-        if not splits(disc, p):
-            skipped[p] = "inert or ramified"
-            continue
-        form = prime_form(disc, p)
-        x = cg.element(form)
+    skipped = dict(emb.skipped)
+    for p in emb.primes:
+        x = group.element(emb.coords[p])
         if x + x == zero:
             skipped[p] = "two-torsion class"
             continue
@@ -336,15 +301,15 @@ def class_group_primes(D):
             skipped[p] = "inverse class already chosen"
             continue
         chosen.append(x)
-        records[p] = form.to_json()
+        records[p] = prime_form(disc, p).to_json()
     report = is_sidon(group, chosen)
     details = {
         "D": D,
         "discriminant": disc,
-        "class_number": cg.h,
+        "class_number": emb.details["class_number"],
         "invariants": list(group.factors),
         "chosen": records,
-        "skipped": skipped,
+        "skipped": dict(sorted(skipped.items())),
     }
     if not report.sidon:
         raise SparseError(
@@ -360,61 +325,21 @@ def real_quadratic(D):
     b sqrt(D) comes from the continued-fraction norm table; split primes
     it cannot represent are reported in skipped.
     """
-    if D < 2:
-        raise SparseError(f"need D >= 2, got {D}")
-    if any(e > 1 for e in sympy.factorint(D).values()):
-        raise SparseError(f"{D} is not squarefree")
-    try:
-        x0, y0, unorm = fundamental_unit(D)
-    except PellError as exc:
-        raise SparseError(str(exc))
-    cf = CFData(D)
-
-    def _reg():
-        return mpmath.log(mpmath.mpf(x0) + mpmath.mpf(y0) * mpmath.sqrt(D))
-
-    with mpmath.workprec(max(80, x0.bit_length() + 40)):
-        M = int(mpmath.ceil(_reg()))
-        regval = float(_reg())
+    emb = _fw_real(FrameworkSpec("real_quadratic", D=D))
+    M = emb.details["M"]
     group = AbelianGroup.cyclic(M)
-    primes = []
-    skipped = {}
-    reps = {}
-    values = []
-    margin = 1.0
-    for p in sympy.primerange(2, max(2, math.isqrt(math.isqrt(D)) // 10 + 2)):
-        if (10 * p) ** 4 > D:
-            break
-        if not splits(4 * D, p):
-            skipped[p] = "inert or ramified"
-            continue
-        rep = cf.represent(p)
-        if rep is None:
-            skipped[p] = "not represented by the principal form"
-            continue
-        a, b = rep
-        reps[p] = [a, b]
-
-        def _val(a=a, b=b, p=p):
-            r = mpmath.log(mpmath.mpf(x0) + mpmath.mpf(y0) * mpmath.sqrt(D))
-            lam = 2 * mpmath.log(mpmath.mpf(a) + mpmath.mpf(b) * mpmath.sqrt(D))
-            return (M / r) * (lam - mpmath.log(p))
-
-        v, mg = _certified_floor(_val, f"unit-log({p})")
-        primes.append(p)
-        values.append(group.element(v % M))
-        margin = min(margin, mg)
+    values = [group.element(emb.coords[p]) for p in emb.primes]
     report = is_sidon(group, values)
     details = {
         "D": D,
-        "unit": [x0, y0],
-        "unit_norm": unorm,
-        "regulator": regval,
+        "unit": emb.details["unit"],
+        "unit_norm": emb.aux["unit_norm"],
+        "regulator": emb.aux["regulator"],
         "M": M,
-        "primes": primes,
-        "representations": reps,
-        "skipped": skipped,
-        "floor_margin": margin,
+        "primes": emb.primes,
+        "representations": emb.details["representations"],
+        "skipped": emb.skipped,
+        "floor_margin": emb.margin,
     }
     if not report.sidon:
         raise SparseError(
@@ -591,6 +516,24 @@ def _primitive(re, im):
     return re // g, im // g
 
 
+# What a builder returns: the candidate primes with their coordinates in
+# Z/moduli, the exact test for equal phi-sums (exact_key, or exact_equal
+# when equality needs more than a key), the details framework_build
+# reports, the primes left out, the smallest certified rounding margin,
+# and aux, data only the dedicated constructions read.
+_Embedding = collections.namedtuple(
+    "_Embedding",
+    "primes coords moduli exact_key exact_equal details skipped margin aux",
+)
+
+
+def _squarefree_D(D, least):
+    if D < least:
+        raise SparseError(f"need D >= {least}, got {D}")
+    if any(e > 1 for e in sympy.factorint(D).values()):
+        raise SparseError(f"{D} is not squarefree")
+
+
 def _fw_rationals(spec):
     X = spec.X
     if X < 2:
@@ -606,13 +549,15 @@ def _fw_rationals(spec):
     units = [UnitGroup(m) for m in spec.mods]
     arch = {}
     coords = {}
+    margin = 1.0
     for p in primes:
         row = ()
         if scale is not None:
-            v, _ = _rounded(
+            v, mg = _rounded(
                 lambda p=p: scale * mpmath.log(p), spec.rounding, f"log({p})"
             )
             arch[p] = v
+            margin = min(margin, mg)
             row += (v,)
         for u in units:
             row += u.encode(p).coords
@@ -633,7 +578,9 @@ def _fw_rationals(spec):
     details = {"scale": scale, "mods": list(spec.mods)}
     if scale is not None:
         details["arch_values"] = arch
-    return primes, coords, moduli, exact_key, None, details, {}
+    return _Embedding(
+        primes, coords, moduli, exact_key, None, details, {}, margin, {"units": units}
+    )
 
 
 def _fw_gaussian(spec):
@@ -648,17 +595,15 @@ def _fw_gaussian(spec):
     coords = {}
     dirs = {}
     arch = {}
+    margin = 1.0
     for p in primes:
         re, im = gaussian_direction(p)
         dirs[p] = (re, im)
-        v, _ = _rounded(
-            lambda re=re, im=im: n
-            * (mpmath.atan2(im, re) % (2 * mpmath.pi))
-            / (2 * mpmath.pi),
-            spec.rounding,
-            f"angle({p})",
+        v, mg = _rounded(
+            lambda re=re, im=im: _angle(re, im, n), spec.rounding, f"angle({p})"
         )
         arch[p] = v
+        margin = min(margin, mg)
         coords[p] = (v % n,)
 
     def exact_key(p, q):
@@ -667,13 +612,12 @@ def _fw_gaussian(spec):
         return _primitive(a * c - b * d, a * d + b * c)
 
     details = {"directions": {p: list(v) for p, v in dirs.items()}, "arch_values": arch}
-    return primes, coords, (n,), exact_key, None, details, {}
+    return _Embedding(primes, coords, (n,), exact_key, None, details, {}, margin, {})
 
 
 def _fw_imaginary(spec):
     D = spec.D
-    if D < 1 or any(e > 1 for e in sympy.factorint(D).values()):
-        raise SparseError(f"need squarefree D >= 1, got {D}")
+    _squarefree_D(D, 1)
     disc = fundamental_discriminant(D)
     cg = ClassGroup(disc)
     primes = []
@@ -694,21 +638,29 @@ def _fw_imaginary(spec):
         )
 
     details = {"discriminant": disc, "class_number": cg.h}
-    return primes, coords, cg.group.factors, exact_key, None, details, skipped
+    return _Embedding(
+        primes, coords, cg.group.factors, exact_key, None, details, skipped, None,
+        {"class_group": cg},
+    )
 
 
 def _fw_real(spec):
     D = spec.D
-    if D < 2 or any(e > 1 for e in sympy.factorint(D).values()):
-        raise SparseError(f"need squarefree D >= 2, got {D}")
-    x0, y0, _ = fundamental_unit(D)
+    _squarefree_D(D, 2)
+    try:
+        x0, y0, unorm = fundamental_unit(D)
+    except PellError as exc:
+        raise SparseError(str(exc))
     cf = CFData(D)
     with mpmath.workprec(max(80, x0.bit_length() + 40)):
-        M = int(mpmath.ceil(mpmath.log(mpmath.mpf(x0) + mpmath.mpf(y0) * mpmath.sqrt(D))))
+        reg = mpmath.log(mpmath.mpf(x0) + mpmath.mpf(y0) * mpmath.sqrt(D))
+        M = int(mpmath.ceil(reg))
+        regval = float(reg)
     primes = []
     coords = {}
     reps = {}
     skipped = {}
+    margin = 1.0
     for p in sympy.primerange(2, max(2, math.isqrt(math.isqrt(D)) // 10 + 2)):
         if (10 * p) ** 4 > D:
             break
@@ -719,6 +671,9 @@ def _fw_real(spec):
         if rep is None:
             skipped[p] = "not represented by the principal form"
             continue
+        # exact_equal's bound on unit powers needs 1 < pi <= u
+        if not (0 < rep[0] <= x0 and 0 < rep[1] <= y0):
+            raise SparseError(f"representation {rep} of {p} exceeds the unit")
         reps[p] = rep
 
         def _val(a=rep[0], b=rep[1], p=p):
@@ -726,15 +681,20 @@ def _fw_real(spec):
             lam = 2 * mpmath.log(mpmath.mpf(a) + mpmath.mpf(b) * mpmath.sqrt(D))
             return (M / r) * (lam - mpmath.log(p))
 
-        v, _ = _rounded(_val, spec.rounding, f"unit-log({p})")
+        v, mg = _rounded(_val, spec.rounding, f"unit-log({p})")
         primes.append(p)
         coords[p] = (v % M,)
+        margin = min(margin, mg)
 
     def _mul(u, v):
         return (u[0] * v[0] + u[1] * v[1] * D, u[0] * v[1] + u[1] * v[0])
 
     def exact_equal(pair1, pair2):
-        # log sums agree mod the regulator iff A = +-u^k A-bar exactly
+        # The log sums agree mod R = log u iff a = +-u^k a-bar exactly.
+        # Each pi = a + b sqrt(D) is a convergent within one period, so
+        # 1 < pi <= u, and p < sqrt(D) < u: lambda_p = log|pi / pi-bar|
+        # = 2 log pi - log p lies in (-R, 2R].  The four-term sum
+        # log|a / a-bar| = kR then lies in (-6R, 6R), so |k| <= 5.
         p1 = _mul(reps[pair1[0]], reps[pair1[1]])
         p2 = _mul(reps[pair2[0]], reps[pair2[1]])
         a = _mul(p1, (p2[0], -p2[1]))
@@ -742,7 +702,7 @@ def _fw_real(spec):
         unit = (x0, y0)
         for side in (a, abar):
             w = side
-            for _ in range(13):
+            for _ in range(6):
                 if w == abar or w == (-abar[0], -abar[1]):
                     if side == a:
                         return True
@@ -757,7 +717,10 @@ def _fw_real(spec):
         "unit": [x0, y0],
         "representations": {p: list(v) for p, v in reps.items()},
     }
-    return primes, coords, (M,), None, exact_equal, details, skipped
+    return _Embedding(
+        primes, coords, (M,), None, exact_equal, details, skipped, margin,
+        {"unit_norm": unorm, "regulator": regval},
+    )
 
 
 _FW_BUILDERS = {
@@ -778,19 +741,19 @@ def framework_build(spec):
     direct difference test is still run on the embedded set afterwards
     and the two verdicts are required to agree.
     """
-    primes, coords, moduli, exact_key, exact_equal, extra, skipped = _FW_BUILDERS[
-        spec.kind
-    ](spec)
+    emb = _FW_BUILDERS[spec.kind](spec)
+    exact_equal = emb.exact_equal
     if exact_equal is None:
+        exact_key = emb.exact_key
         exact_equal = lambda u, v: exact_key(*u) == exact_key(*v)
-    group, convert = invariant_factor_form(moduli)
-    elems = {p: convert(coords[p]) for p in primes}
+    group, convert = invariant_factor_form(emb.moduli)
+    elems = {p: convert(emb.coords[p]) for p in emb.primes}
 
     kept = []
     kept_by_elem = {}
     discarded = {}
     self_negative = None
-    for p in primes:
+    for p in emb.primes:
         g = elems[p]
         if g in kept_by_elem:
             discarded[p] = f"same value as {kept_by_elem[g]}"
@@ -841,11 +804,11 @@ def framework_build(spec):
         "rounding": spec.rounding,
         "spec": spec.to_json(),
         "primes": kept,
-        "skipped": skipped,
+        "skipped": emb.skipped,
         "discarded": discarded,
         "pairs_scanned": n_pairs,
         "checks": {"rounding_faithful": check_round, "phi_injective": check_products},
     }
-    details.update(extra)
+    details.update(emb.details)
     return SparseResult("framework:" + spec.kind, group, values, details, report)
 

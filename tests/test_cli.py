@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -183,3 +184,14 @@ def test_workers_flag_is_rejected(capsys):
         main(["--workers", "4", "search", "--group", "13"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_cli_golden(capsys, case):
+    """Byte-exact stdout and exit code of sparse, search and conjecture
+    commands, as recorded in cli_golden.json."""
+    code, out = run(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])

@@ -3,21 +3,20 @@ import math
 import mpmath
 import pytest
 
-from sidonkit.pell import CFData, PellError, fundamental_unit, regulator, sqrt_cf
+from sidonkit.pell import CFData, PellError, fundamental_unit, regulator
 
 
-def test_sqrt_cf_anchors():
-    assert sqrt_cf(2) == (1, [2])
-    assert sqrt_cf(3) == (1, [1, 2])
-    assert sqrt_cf(7) == (2, [1, 1, 1, 4])
-    assert sqrt_cf(13) == (3, [1, 1, 1, 1, 6])
+def test_cfdata_period_anchors():
+    # sqrt(2) = [1; 2], sqrt(3) = [1; 1, 2], sqrt(7) = [2; 1, 1, 1, 4],
+    # sqrt(13) = [3; 1, 1, 1, 1, 6]
+    assert [CFData(D).period for D in (2, 3, 7, 13)] == [1, 2, 4, 5]
 
 
-def test_sqrt_cf_rejects_squares():
+def test_cfdata_rejects_squares():
     with pytest.raises(PellError):
-        sqrt_cf(9)
+        CFData(9)
     with pytest.raises(PellError):
-        sqrt_cf(1)
+        CFData(1)
 
 
 @pytest.mark.parametrize("D,x,y,norm", [

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -218,3 +220,29 @@ def test_admissible_orders_against_direct_scan():
         expected.setdefault(v, []).append(("q^2-sqrt(q)", r * r))
     for n in range(1, limit + 1):
         assert admissible_orders(n) == sorted(expected.get(n, []))
+
+
+PINS = json.loads((pathlib.Path(__file__).parent / "search_golden.json").read_text())
+
+
+def _pin(res):
+    return [list(res.indices), res.nodes, res.complete]
+
+
+def test_max_sidon_node_counts_pinned():
+    """(indices, nodes, complete) per order.  The budgeted orders fix the
+    census benchmark's share of conclusive answers, so a walker change
+    that moves node counts must re-derive these pins."""
+    for n, want in PINS["max_sidon"].items():
+        assert _pin(max_sidon(cyclic(int(n)))) == want, n
+    for n, want in PINS["max_sidon_budget_2000"].items():
+        assert _pin(max_sidon(cyclic(int(n)), budget=2000)) == want, n
+
+
+@pytest.mark.parametrize("case", PINS["extend_sidon"], ids=lambda c: str(c["n"]))
+def test_extend_node_counts_pinned(case):
+    """Starts without 0 may not use the negation halving: with it these
+    impossible targets take fewer nodes but give the same (empty) answer."""
+    g = cyclic(case["n"])
+    res = extend_sidon(g, case["start"], case["target"])
+    assert _pin(res) == case["result"]

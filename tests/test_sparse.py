@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from sidonkit.groups import AbelianGroup
+from sidonkit.pell import CFData
 from sidonkit.sidon import is_sidon
 from sidonkit.sparse import (
     BudgetError,
@@ -162,6 +163,27 @@ def test_real_quadratic_million():
     # 3 splits here but its ideal class is not principal
     r2 = real_quadratic(1000015)
     assert r2.details["skipped"][3] == "not represented by the principal form"
+
+
+def test_real_quadratic_representations_lie_below_the_unit():
+    """The unit-power bound in _fw_real's exact_equal (|k| <= 5) rests on
+    0 < a <= x0 and 0 < b <= y0 for every representation a + b sqrt(D)."""
+    for D in range(2, 3000):
+        if any(e > 1 for e in sympy.factorint(D).values()):
+            continue
+        cf = CFData(D)
+        x0, y0 = cf.unit
+        assert all(0 < a <= x0 and 0 < b <= y0 for a, b, _ in cf.norms.values()), D
+    used = 0
+    for D in range(10**6, 10**6 + 20000, 97):
+        if any(e > 1 for e in sympy.factorint(D).values()):
+            continue
+        r = real_quadratic(D)
+        x0, y0 = r.details["unit"]
+        for a, b in r.details["representations"].values():
+            assert 0 < a <= x0 and 0 < b <= y0, D
+            used += 1
+    assert used > 0
 
 
 def test_cubic_graph_anchor():
