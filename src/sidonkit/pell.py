@@ -64,15 +64,17 @@ class CFData:
             return None
         return hit[0], hit[1]
 
+    def checked_unit(self):
+        """(x, y, norm) of the unit, verified: x^2 - D y^2 == norm."""
+        x, y = self.unit
+        if x * x - self.D * y * y != self.unit_norm:
+            raise PellError("unit verification failed")  # pragma: no cover
+        return x, y, self.unit_norm
+
 
 def fundamental_unit(D):
     """(x, y, norm) with x + y sqrt(D) the fundamental unit of Z[sqrt(D)]."""
-    cf = CFData(D)
-    x, y = cf.unit
-    norm = cf.unit_norm
-    if x * x - D * y * y != norm:
-        raise PellError("unit verification failed")  # pragma: no cover
-    return x, y, norm
+    return CFData(D).checked_unit()
 
 
 def regulator(D, unit=None, prec=80):

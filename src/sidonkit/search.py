@@ -1,16 +1,56 @@
 """Exhaustive Sidon-set search: maxima, census, conjecture testers.
 
-All searches run over element indices with precomputed difference
-tables.  Two symmetry reductions keep them exact: every set is slid so
-that it contains 0, and the second element c may assume idx(c) <=
-idx(-c).  Both are harmless: among all translated or negated images of
-a set that contain 0, one with the smallest possible second element
-satisfies the inequality (negating an offender produces an image whose
-second element is smaller).
+All searches run over element indices (mixed radix, as
+AbelianGroup.index_of) and keep sets of indices as Python-int bitmasks:
+bit c stands for the element of index c.
 
-max_sidon, enumerate_sidon and extend_sidon all run one walker, _dfs,
-which calls a visit(stack, start) hook at every node: True stops the
-walk, False skips the node's children, None descends.
+The walker, _dfs, extends a stack S of indices.  With D = S - S (0
+included) and Sigma = S + S it keeps one mask F of forbidden indices,
+
+    F = (S + D)  u  {c : 2c in Sigma},
+
+and S u {c} is Sidon exactly when c is not in F: the new differences
++-(c - s) must avoid the old ones (c in S + D, which holds S itself) and
+each other (c - s = s' - c, that is 2c = s + s').  Pushing x gives
+S' = S u {x}, D' = D u +-(x - S'), Sigma' = Sigma u (x + S') and
+
+    F' = F  u  (x + D')  u  (Sigma' - x)  u  {c : 2c in x + S'},
+
+because S + (x - S') lies in x + D' and S + (S' - x) in Sigma' - x.  So
+a push costs one pass over S (the new differences and sums) and two
+translates of a mask.  A translate is a rotation for Z/n, and a masked
+shift per coordinate for Z/a_1 x ... x Z/a_r.  A node's children are the
+set bits of cand & ~F, its candidates above the last index pushed.
+
+Reductions.  max_sidon and enumerate_sidon only walk sets that contain
+0 (slide any set by one of its elements).  Their second element, the
+least nonzero index, is restricted further:
+
+- max_sidon keeps only second elements that are least in their orbit
+  under x -> ux for u a unit mod the exponent; for Z/n these are the
+  divisors of n below n.  Translations and the maps x -> ux are
+  automorphisms of the Sidon property, so every image u(T - a), a in T,
+  of a Sidon set T is a Sidon set of T's size that contains 0.  Take
+  one whose second element y is least.  If a unit v had idx(vy) <
+  idx(y), the image vu(T - a) would contain 0 and vy and so beat it;
+  hence y is an orbit minimum and the walk reaches a set of T's size.
+  Negation is the unit u = -1, so the rule contains the
+  translate-and-negate halving idx(c) <= idx(-c).
+- enumerate_sidon emits one set per class up to translation and
+  negation only, so it keeps that halving: a class whose canonical form
+  has a second element that some other unit lowers must still be
+  walked.
+- extend_sidon starts from a given set, which need not contain 0, and
+  uses no reduction.
+
+max_sidon also prunes by look-ahead: every set below a node uses only
+the node's available indices, so a node with |S| + popcount(cand & ~F)
+<= the best size so far has nothing better below it.  Enumeration must
+visit every set, and extension walks its tree unpruned as well.
+
+max_sidon, enumerate_sidon and extend_sidon all run _dfs, which calls a
+visit(stack) hook at every node before computing the node's masks:
+True stops the walk, False skips the children, None descends.
 """
 
 from __future__ import annotations
@@ -19,7 +59,7 @@ import math
 
 import sympy
 
-from .groups import AbelianGroup, automorphism_perm, automorphisms
+from .groups import AbelianGroup, automorphisms, endo_apply
 from .sidon import counting_bound, is_perfect_difference_set, is_sidon, subgroup_union_cover
 
 TABLE_CAP = 512
@@ -33,17 +73,112 @@ class BudgetExceeded(SearchError):
     """The node budget ran out before the search finished."""
 
 
-def _tables(group):
-    """(sub, neg): index tables for e_i - e_j and -e_i."""
-    n = group.order
-    if n > TABLE_CAP:
-        raise SearchError(f"group order {n} above search cap {TABLE_CAP}")
-    coords = [group.coords_of(i) for i in range(n)]
-    neg = [group.index_of(group.neg_coords(c)) for c in coords]
-    sub = [
-        [group.index_of(group.sub_coords(a, b)) for b in coords] for a in coords
-    ]
-    return sub, neg
+class _Indices:
+    """Index arithmetic of one group: negation, and translates of masks."""
+
+    def __init__(self, group):
+        n = group.order
+        if n > TABLE_CAP:
+            raise SearchError(f"group order {n} above search cap {TABLE_CAP}")
+        self.group = group
+        self.n = n
+        self.full = (1 << n) - 1
+        self.cyclic = group.rank == 1
+        if self.cyclic:
+            self.coords = [(i,) for i in range(n)]
+            self.neg = [-i % n for i in range(n)]
+        else:
+            self.coords = [group.coords_of(i) for i in range(n)]
+            self.neg = [group.index_of(group.neg_coords(c)) for c in self.coords]
+        # moves[t]: (keep, up, down) per coordinate where t's digit k is
+        # nonzero; keep marks the indices whose digit stays below the
+        # modulus m after adding k, which move up by k weights, the
+        # others wrap down by m - k weights
+        self.moves = []
+        if not self.cyclic:
+            axes = []
+            w = n
+            for m in group.factors:
+                w //= m
+                axes.append((w, m, [self.mask(lambda i: (i // w) % m < m - k, 0)
+                                    for k in range(m)]))
+            for c in self.coords:
+                self.moves.append([(keep[k], k * w, (m - k) * w)
+                                   for (w, m, keep), k in zip(axes, c) if k])
+
+    def mask(self, pred, lo=1):
+        """The mask of the indices i >= lo with pred(i)."""
+        return sum(1 << i for i in range(lo, self.n) if pred(i))
+
+    def shift(self, M, t):
+        """The mask M translated by the element of index t."""
+        if self.cyclic:
+            return (M << t | M >> (self.n - t)) & self.full
+        for keep, up, down in self.moves[t]:
+            lo = M & keep
+            M = lo << up | (M ^ lo) >> down
+        return M
+
+    def unit_minima(self):
+        """The mask of the nonzero indices that are least in their orbit
+        under x -> ux, u a unit mod the exponent."""
+        g = self.group
+        units = [u for u in range(2, g.exponent) if math.gcd(u, g.exponent) == 1]
+        seen = bytearray(self.n)
+        out = 0
+        for c in range(1, self.n):
+            if not seen[c]:
+                out |= 1 << c
+                for u in units:
+                    seen[g.index_of(g.smul_coords(u, self.coords[c]))] = 1
+        return out
+
+    def pusher(self):
+        """push(F, D, Sigma, stack) -> the masks of stack from those of
+        stack[:-1], per the module docstring.  F may carry bits at n and
+        above; D and Sigma may not."""
+        n, g = self.n, self.group
+        halves = [0] * n
+        for c in range(n):
+            t = 2 * c % n if self.cyclic else g.index_of(g.smul_coords(2, self.coords[c]))
+            halves[t] |= 1 << c
+        if self.cyclic:
+            # indices x - s in (-n, n) and x + s in [0, 2n) read these
+            # tables directly; F takes the rotations' overflow unmasked
+            pm = [(1 << d) | (1 << (-d % n)) for d in range(n)]
+            sums = [1 << (t % n) for t in range(2 * n)]
+            halves += halves
+
+            def push(F, D, Sigma, stack):
+                x = stack[-1]
+                for s in stack:
+                    D |= pm[x - s]
+                    t = x + s
+                    Sigma |= sums[t]
+                    F |= halves[t]
+                return F | D << x | D >> (n - x) | Sigma >> x | Sigma << (n - x), D, Sigma
+
+            return push
+
+        shift, neg = self.shift, self.neg
+
+        def push(F, D, Sigma, stack):
+            x = stack[-1]
+            S = N = 0
+            for s in stack:
+                S |= 1 << s
+                N |= 1 << neg[s]
+            # the new differences x - S and S - x, and the new sums x + S
+            D |= shift(N, x) | shift(S, neg[x])
+            sums = shift(S, x)
+            Sigma |= sums
+            while sums:
+                low = sums & -sums
+                sums ^= low
+                F |= halves[low.bit_length() - 1]
+            return F | shift(D, x) | shift(Sigma, neg[x]), D, Sigma
+
+        return push
 
 
 class SearchResult:
@@ -69,54 +204,48 @@ class SearchResult:
         }
 
 
-def _dfs(sub, neg, stack, used, start, budget, label, visit, halve):
-    """Depth-first walk over the Sidon sets that extend stack by indices >= start.
+def _dfs(ix, stack, roots, budget, label, visit, floor=(0,)):
+    """Depth-first walk over the Sidon sets that extend stack, first by an
+    index in the mask roots and then by increasing indices.
 
-    used marks every difference of stack and its negative; visit follows
-    the module docstring's hook contract.  halve applies the idx(c) <=
-    idx(-c) reduction to the second element, which is sound only for the
-    start stack [0].  Returns the number of nodes visited.
+    stack must be Sidon; visit follows the module docstring's hook
+    contract.  A node is pruned when its stack and available indices
+    together cannot exceed floor[0].  Returns the number of nodes visited.
     """
-    n = len(neg)
+    push = ix.pusher()
+    F = D = Sigma = 0
+    for i in range(1, len(stack)):
+        F, D, Sigma = push(F, D, Sigma, stack[:i])
     nodes = 0
 
-    def walk(start):
+    def walk(F, D, Sigma, cand, first=-1):
+        # F, D and Sigma are the masks of stack[:-1]: a node the hook
+        # stops at costs no push
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"{label} budget {budget} exhausted")
-        verdict = visit(stack, start)
+        verdict = visit(stack)
         if verdict is not None:
             return verdict
-        halving = halve and len(stack) == 1
-        for c in range(start, n):
-            if halving and neg[c] < c:
-                continue
-            row = sub[c]
-            fresh = []
-            ok = True
-            for s in stack:
-                d = row[s]
-                if used[d] or used[neg[d]] or d == neg[d]:
-                    ok = False
-                    break
-                used[d] = 1
-                used[neg[d]] = 1
-                fresh.append(d)
-            if ok:
-                stack.append(c)
-                done = walk(c + 1)
-                stack.pop()
-            else:
-                done = False
-            for d in fresh:
-                used[d] = 0
-                used[neg[d]] = 0
+        if stack:
+            F, D, Sigma = push(F, D, Sigma, stack)
+        avail = cand & ~F
+        if len(stack) + avail.bit_count() <= floor[0]:
+            return False
+        kids = avail & first
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            stack.append(low.bit_length() - 1)
+            # the child's candidates: this node's, above the child
+            done = walk(F, D, Sigma, avail & -(low << 1))
+            stack.pop()
             if done:
                 return True
         return False
 
-    walk(start)
+    walk(F, D, Sigma, ix.full, roots)
     return nodes
 
 
@@ -127,44 +256,56 @@ def max_sidon(group, budget=5_000_000):
     lower bound.  The counting bound stops the search early once it is
     attained.
     """
-    n = group.order
-    if n == 1:
-        return SearchResult(group, (0,), 1, True, 1)
-    sub, neg = _tables(group)
-    bound = counting_bound(n)
-    best = [()]
+    ix = _Indices(group)
+    bound = counting_bound(group.order)
+    best = ()
+    floor = [0]
 
-    def visit(stack, start):
-        if len(stack) > len(best[0]):
-            best[0] = tuple(stack)
-            if len(stack) == bound:
+    def visit(stack):
+        nonlocal best
+        if len(stack) > len(best):
+            best = tuple(stack)
+            floor[0] = len(best)
+            if len(best) == bound:
                 return True
-        # even taking every remaining index cannot beat the best
-        if len(stack) + (n - start) <= len(best[0]):
-            return False
         return None
 
     try:
-        nodes = _dfs(sub, neg, [0], bytearray(n), 1, budget, "search", visit, True)
+        nodes = _dfs(ix, [0], ix.unit_minima(), budget, "search", visit, floor)
     except BudgetExceeded:
-        return SearchResult(group, best[0], budget + 1, False, bound)
-    return SearchResult(group, best[0], nodes, True, bound)
+        return SearchResult(group, best, budget + 1, False, bound)
+    return SearchResult(group, best, nodes, True, bound)
 
 
-def canonical_form(group, S, sub=None):
-    """Lex-least index tuple among all translates of S and -S."""
-    if sub is None:
-        sub, _ = _tables(group)
-    idxs = sorted({group.index_of(group.element(s).coords) for s in S})
-    best = None
+def _canonical(ix, idxs):
+    """Lex-least index tuple among all translates of idxs and -idxs.
+
+    Rows are compared as masks: of two sets of one size, the lex-smaller
+    sorted tuple holds the least element of their symmetric difference.
+    """
+    S = N = 0
+    for i in idxs:
+        S |= 1 << i
+        N |= 1 << ix.neg[i]
+    best = 0
     for a in idxs:
-        for row in (
-            tuple(sorted(sub[s][a] for s in idxs)),
-            tuple(sorted(sub[a][s] for s in idxs)),
-        ):
-            if best is None or row < best:
+        for row in (ix.shift(S, ix.neg[a]), ix.shift(N, a)):
+            x = row ^ best
+            if not best or row & x & -x:
                 best = row
-    return best
+    out = []
+    while best:
+        low = best & -best
+        best ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
+def canonical_form(group, S):
+    """Lex-least index tuple among all translates of S and -S."""
+    return _canonical(
+        _Indices(group), sorted({group.index_of(group.element(s).coords) for s in S})
+    )
 
 
 def enumerate_sidon(group, size=None, budget=5_000_000):
@@ -174,22 +315,20 @@ def enumerate_sidon(group, size=None, budget=5_000_000):
     equivalence class appears exactly once.  size filters to one
     cardinality; None returns every nonempty class, sorted.
     """
-    n = group.order
-    if n == 1:
-        return [(0,)] if size in (None, 1) else []
-    sub, neg = _tables(group)
+    ix = _Indices(group)
     out = []
 
-    def visit(stack, start):
+    def visit(stack):
         if size is None or len(stack) == size:
             cand = tuple(stack)
-            if canonical_form(group, [group.coords_of(i) for i in cand], sub) == cand:
+            if _canonical(ix, cand) == cand:
                 out.append(cand)
             if size is not None:
                 return False
         return None
 
-    _dfs(sub, neg, [0], bytearray(n), 1, budget, "enumeration", visit, True)
+    halving = ix.mask(lambda c: c <= ix.neg[c])
+    _dfs(ix, [0], halving, budget, "enumeration", visit)
     return sorted(out)
 
 
@@ -197,17 +336,24 @@ def affine_classes(group, canonicals):
     """Merge translation/negation classes into affine equivalence classes.
 
     Every automorphism maps a canonical tuple to some canonical tuple;
-    the class leader is the least canonical form in the orbit.
+    the class leader is the least canonical form in the orbit.  Each
+    automorphism is applied to the tuple's elements only, and each orbit
+    is computed once: its members share it.
     """
-    sub, _ = _tables(group)
-    perms = [automorphism_perm(group, a) for a in automorphisms(group)]
+    ix = _Indices(group)
+    auts = list(automorphisms(group))
+    leader_of = {}
     leaders = {}
     for cand in canonicals:
-        orbit = set()
-        for perm in perms:
-            image = [group.coords_of(perm[i]) for i in cand]
-            orbit.add(canonical_form(group, image, sub))
-        leaders.setdefault(min(orbit), []).append(cand)
+        if cand not in leader_of:
+            coords = [ix.coords[i] for i in cand]
+            orbit = {
+                _canonical(ix, [group.index_of(endo_apply(group, a, c)) for c in coords])
+                for a in auts
+            }
+            leader = min(orbit)
+            leader_of.update(dict.fromkeys(orbit, leader))
+        leaders.setdefault(leader_of[cand], []).append(cand)
     return leaders
 
 
@@ -217,29 +363,25 @@ def extend_sidon(group, S, target, budget=5_000_000):
     Returns a SearchResult; size == target and complete=True on success,
     a smaller set with complete=True when no completion exists.
     """
-    sub, neg = _tables(group)
+    ix = _Indices(group)
     idxs = sorted({group.index_of(group.element(s).coords) for s in S})
     rep = is_sidon(group, [group.coords_of(i) for i in idxs])
     if not rep.sidon:
         raise SearchError(f"starting set is not Sidon: {rep.witness}")
     if len(idxs) > target:
         raise SearchError("starting set is already larger than the target")
-    used = bytearray(group.order)
-    for i, a in enumerate(idxs):
-        for b in idxs[:i]:
-            used[sub[a][b]] = 1
-            used[sub[b][a]] = 1
-    found = [tuple(idxs)]
+    found = tuple(idxs)
 
-    def visit(stack, start):
+    def visit(stack):
+        nonlocal found
         if len(stack) == target:
-            found[0] = tuple(stack)
+            found = tuple(stack)
             return True
         return None
 
-    # S need not contain 0, so the negation halving does not apply
-    nodes = _dfs(sub, neg, list(idxs), used, 0, budget, "extension", visit, False)
-    return SearchResult(group, found[0], nodes, True)
+    # S need not contain 0, so no symmetry reduction applies
+    nodes = _dfs(ix, idxs, ix.full, budget, "extension", visit)
+    return SearchResult(group, found, nodes, True)
 
 
 class TesterReport:

@@ -23,7 +23,7 @@ import sympy
 
 from .fields import FiniteField, field_create
 from .groups import AbelianGroup, invariant_factor_form
-from .pell import CFData, PellError, fundamental_unit
+from .pell import CFData, PellError
 from .quadforms import ClassGroup, fundamental_discriminant, prime_form, splits
 from .sidon import is_sidon
 
@@ -648,10 +648,10 @@ def _fw_real(spec):
     D = spec.D
     _squarefree_D(D, 2)
     try:
-        x0, y0, unorm = fundamental_unit(D)
+        cf = CFData(D)
+        x0, y0, unorm = cf.checked_unit()
     except PellError as exc:
         raise SparseError(str(exc))
-    cf = CFData(D)
     with mpmath.workprec(max(80, x0.bit_length() + 40)):
         reg = mpmath.log(mpmath.mpf(x0) + mpmath.mpf(y0) * mpmath.sqrt(D))
         M = int(mpmath.ceil(reg))

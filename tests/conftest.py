@@ -20,6 +20,50 @@ def cyclic(n):
     return AbelianGroup((n,))
 
 
+def brute_sidon_sets(group):
+    """Every Sidon set that contains 0, as a sorted index tuple: each is
+    grown one larger index at a time and kept while all its pair sums
+    (with repetition) stay distinct."""
+    coords = [group.coords_of(i) for i in range(group.order)]
+    out = []
+
+    def grow(S, sums, start):
+        out.append(tuple(S))
+        for c in range(start, group.order):
+            new = [group.add_coords(coords[c], coords[s]) for s in S + [c]]
+            if len(set(new)) == len(new) and not sums.intersection(new):
+                grow(S + [c], sums | set(new), c + 1)
+
+    grow([0], {group.add_coords(coords[0], coords[0])}, 1)
+    return out
+
+
+def brute_max(group):
+    """Reference maximum Sidon size: every Sidon set has a translate
+    containing 0."""
+    return max(map(len, brute_sidon_sets(group)))
+
+
+def brute_canonical(group, idxs):
+    """Reference class key: the lex-least sorted index tuple among all
+    translates of the set and of its negation."""
+    items = [group.coords_of(i) for i in idxs]
+    images = []
+    for t in group.elements():
+        for sign in (1, -1):
+            images.append(tuple(sorted(
+                group.index_of(group.add_coords(group.smul_coords(sign, c), t.coords))
+                for c in items)))
+    return min(images)
+
+
+def brute_extends(group, idxs, target):
+    """Reference verdict: does some Sidon set of size target contain idxs?"""
+    rest = [i for i in range(group.order) if i not in idxs]
+    return any(brute_sidon(group, list(idxs) + list(extra))
+               for extra in itertools.combinations(rest, target - len(idxs)))
+
+
 def frobenius_trace(ext, x):
     """Reference trace of x in a FieldExtension down to its base field:
     the Frobenius sum x + x^q (+ x^(q^2)), as an extension code (base

@@ -333,7 +333,8 @@ def test_07_sparse_constructions():
 
 def test_08_search_matches_brute_force():
     """max_sidon equals unpruned subset search for n <= 16; the sigma
-    values at plane orders meet the counting bound via Singer sets."""
+    values at plane orders meet the counting bound via Singer sets;
+    sigma(60) and sigma(91) are proved within 2 s each."""
     with budget(120, "check 8, search oracle"):
         trivial = max_sidon(AbelianGroup(()))
         assert trivial.complete and trivial.size == 1
@@ -359,6 +360,15 @@ def test_08_search_matches_brute_force():
             group, S, _ = construct_dense("singer", field(q))
             assert group.order == n and len(S) == q + 1
             assert is_sidon(group, S).sidon
+
+    # full proofs: sigma(60) walks about 2 * 10^5 nodes; sigma(91) stops at
+    # the counting bound after about 2 * 10^4
+    with budget(2, "check 8, sigma(60)"):
+        res = max_sidon(cyclic(60))
+        assert res.complete and res.size == 7
+    with budget(2, "check 8, sigma(91)"):
+        res = max_sidon(cyclic(91))
+        assert res.complete and res.size == 10 == counting_bound(91)
 
 
 def test_09_conjecture_testers():

@@ -1,14 +1,17 @@
-import itertools
 import json
+import math
 import pathlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sidonkit.groups import AbelianGroup
 from sidonkit.search import (
     BudgetExceeded,
     SearchError,
+    _Indices,
     admissible_orders,
     affine_classes,
     canonical_form,
@@ -21,23 +24,14 @@ from sidonkit.search import test_T_subgroup as t_subgroup_census
 from sidonkit.search import test_extendable as extendable_census
 from sidonkit.sidon import counting_bound
 
-from conftest import brute_sidon, cyclic
-
-
-def brute_max(group):
-    elems = list(group.elements())
-    best = 0
-    # grow best greedily by exact check at each cardinality
-    k = 1
-    while True:
-        found = False
-        for combo in itertools.combinations(range(group.order), k):
-            if brute_sidon(group, combo):
-                found = True
-                break
-        if not found:
-            return k - 1
-        k += 1
+from conftest import (
+    brute_canonical,
+    brute_extends,
+    brute_max,
+    brute_sidon,
+    brute_sidon_sets,
+    cyclic,
+)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -232,7 +226,9 @@ def _pin(res):
 def test_max_sidon_node_counts_pinned():
     """(indices, nodes, complete) per order.  The budgeted orders fix the
     census benchmark's share of conclusive answers, so a walker change
-    that moves node counts must re-derive these pins."""
+    that moves node counts must re-derive these pins; the sets and the
+    complete flags have held since the walker without the unit-orbit
+    and look-ahead prunes, which took 653 837 nodes over the first 53."""
     for n, want in PINS["max_sidon"].items():
         assert _pin(max_sidon(cyclic(int(n)))) == want, n
     for n, want in PINS["max_sidon_budget_2000"].items():
@@ -246,3 +242,80 @@ def test_extend_node_counts_pinned(case):
     g = cyclic(case["n"])
     res = extend_sidon(g, case["start"], case["target"])
     assert _pin(res) == case["result"]
+
+
+@pytest.mark.parametrize("case", PINS["enumerate_sidon"],
+                         ids=lambda c: f"{c['group']}-{c['size']}")
+def test_enumerate_node_counts_pinned(case):
+    """Enumeration keeps the translate-and-negate halving and no look-ahead,
+    so it walks the same tree as before the unit-orbit rule: exactly
+    case["nodes"] nodes."""
+    g = AbelianGroup(case["group"])
+    assert len(enumerate_sidon(g, case["size"], budget=case["nodes"])) == case["classes"]
+    with pytest.raises(BudgetExceeded):
+        enumerate_sidon(g, case["size"], budget=case["nodes"] - 1)
+
+
+# ---------------------------------------------------------------------------
+# the bitmask kernel against brute-force oracles
+
+RANK2 = [(a, b) for a in range(2, 7) for b in range(a, 37, a) if a * b <= 36]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 18))
+def test_max_sidon_matches_oracle_cyclic(n):
+    g = cyclic(n)
+    res = max_sidon(g)
+    assert res.complete and res.size == brute_max(g)
+    assert brute_sidon(g, res.indices)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(RANK2))
+def test_max_sidon_matches_oracle_rank2(factors):
+    g = AbelianGroup(factors)
+    res = max_sidon(g)
+    assert res.complete and res.size == brute_max(g)
+    assert brute_sidon(g, res.indices)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 14), st.sampled_from([None, 1, 2, 3, 4, 5]))
+def test_enumerate_matches_oracle(n, size):
+    g = cyclic(n)
+    classes = {brute_canonical(g, S) for S in brute_sidon_sets(g)}
+    want = sorted(c for c in classes if size is None or len(c) == size)
+    assert enumerate_sidon(g, size) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(7,), (11,), (12,), (13,), (16,), (3, 3), (2, 6), (4, 4)]),
+       st.data())
+def test_extend_matches_oracle(factors, data):
+    g = AbelianGroup(factors)
+    start = sorted(data.draw(st.sets(st.integers(0, g.order - 1), max_size=3)))
+    assume(brute_sidon(g, start))
+    target = data.draw(st.integers(len(start), len(start) + 3))
+    res = extend_sidon(g, [g.coords_of(i) for i in start], target)
+    assert res.complete
+    assert (res.size == target) == brute_extends(g, start, target)
+    assert set(start) <= set(res.indices) and brute_sidon(g, res.indices)
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_second_elements_cyclic_are_divisors(n):
+    got = _Indices(cyclic(n)).unit_minima()
+    assert got == sum(1 << d for d in range(1, n) if n % d == 0)
+
+
+@pytest.mark.parametrize("factors", [(3, 3), (2, 4), (3, 9)])
+def test_second_elements_are_unit_orbit_minima(factors):
+    g = AbelianGroup(factors)
+    units = [u for u in range(1, g.exponent) if math.gcd(u, g.exponent) == 1]
+    want = 0
+    for c in range(1, g.order):
+        orbit = [g.index_of(g.smul_coords(u, g.coords_of(c))) for u in units]
+        if c == min(orbit):
+            want |= 1 << c
+    assert _Indices(g).unit_minima() == want

@@ -165,6 +165,25 @@ def test_real_quadratic_million():
     assert r2.details["skipped"][3] == "not represented by the principal form"
 
 
+def test_real_quadratic_scans_the_period_once(monkeypatch):
+    """The unit and the norm table come from one continued-fraction scan."""
+    import sidonkit.pell as pell_mod
+    import sidonkit.sparse as sparse_mod
+
+    scans = []
+
+    class CountingCFData(CFData):
+        def __init__(self, D):
+            scans.append(D)
+            super().__init__(D)
+
+    for mod in (pell_mod, sparse_mod):
+        monkeypatch.setattr(mod, "CFData", CountingCFData)
+    r = real_quadratic(1000003)
+    assert scans == [1000003]
+    assert r.details["unit"] == list(CFData(1000003).unit)
+
+
 def test_real_quadratic_representations_lie_below_the_unit():
     """The unit-power bound in _fw_real's exact_equal (|k| <= 5) rests on
     0 < a <= x0 and 0 < b <= y0 for every representation a + b sqrt(D)."""
