@@ -20,7 +20,7 @@ import math
 import sympy
 
 TABLE_LIMIT = 1 << 16       # exp/log tables up to this field size
-ADD_TABLE_LIMIT = 1 << 10   # full addition table for very small fields
+ADD_TABLE_LIMIT = 1 << 10   # full addition and negation tables for very small fields
 DEFAULT_ORDER_CAP = 1 << 20
 
 
@@ -265,7 +265,7 @@ class FiniteField:
                 exp[k] = acc
                 log[acc] = k
             self._exp, self._log = exp, log
-        self._add_table = None
+        self._add_table = self._neg_table = None
         if q <= ADD_TABLE_LIMIT:
             dig = self._digits
             tbl = []
@@ -277,6 +277,7 @@ class FiniteField:
                     row.append(self._encode([(x + y) % p for x, y in zip(da, db)]))
                 tbl.append(row)
             self._add_table = tbl
+            self._neg_table = [self._encode([(-x) % p for x in dig[a]]) for a in range(q)]
 
     # -- encoding ----------------------------------------------------------
 
@@ -314,6 +315,8 @@ class FiniteField:
         return self._encode([(x + y) % p for x, y in zip(da, db)])
 
     def neg(self, a):
+        if self._neg_table is not None:
+            return self._neg_table[a]
         p = self.p
         return self._encode([(-x) % p for x in self.coeffs(a)])
 

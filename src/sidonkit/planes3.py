@@ -10,6 +10,10 @@ explicit generator matrices, presented as AbelianGroups in invariant-
 factor form.  Scanning which group elements move a base point onto a base
 line turns each family into a Sidon set; that extraction, with its size
 deficit d and the integrality bound on d, is the heart of the module.
+
+Only the generators' matrices are applied to points and lines; orbits,
+stabilizers and extraction walk their permutations of point and line
+indices, and field arithmetic runs on full tables of the (small) field.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import itertools
 import logging
 import random
 
-from .fields import FieldExtension
-from .groups import GroupElement, invariant_factor_form
+from .fields import ADD_TABLE_LIMIT, FieldExtension
+from .groups import invariant_factor_form
 from .incidence import IncidenceStructure
 
 log = logging.getLogger(__name__)
@@ -40,115 +44,105 @@ class PlaneError(ValueError):
 # ---------------------------------------------------------------------------
 # projective points, lines, matrices
 
-def _normalize_triple(F, triple):
-    t = tuple(triple)
-    if len(t) != 3 or not any(t):
-        raise PlaneError("homogeneous triple must be nonzero of length 3")
-    for k in (2, 1, 0):
-        if t[k]:
-            inv = F.inv(t[k])
-            return tuple(F.mul(c, inv) for c in t)
-    raise PlaneError("unreachable")  # pragma: no cover
+class _Homogeneous:
+    """A nonzero triple over K up to scalars, last nonzero coordinate 1."""
 
-
-class ProjPoint:
     __slots__ = ("field", "triple")
 
     def __init__(self, field, triple):
+        t = tuple(triple)
+        if len(t) != 3 or not any(t):
+            raise PlaneError("homogeneous triple must be nonzero of length 3")
+        inv = field.inv(next(c for c in reversed(t) if c))
         self.field = field
-        self.triple = _normalize_triple(field, triple)
+        self.triple = tuple(field.mul(c, inv) for c in t)
 
     def __eq__(self, other):
-        return (isinstance(other, ProjPoint) and self.field == other.field
+        return (type(other) is type(self) and self.field == other.field
                 and self.triple == other.triple)
 
     def __hash__(self):
-        return hash(("pt", self.triple))
+        return hash((self._kind, self.triple))
 
     def __repr__(self):
-        return "(" + ":".join(str(c) for c in self.triple) + ")"
+        return self._kind[0] + ":".join(map(str, self.triple)) + self._kind[1]
 
 
-class ProjLine:
-    __slots__ = ("field", "triple")
-
-    def __init__(self, field, triple):
-        self.field = field
-        self.triple = _normalize_triple(field, triple)
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjLine) and self.field == other.field
-                and self.triple == other.triple)
-
-    def __hash__(self):
-        return hash(("ln", self.triple))
-
-    def __repr__(self):
-        return "[" + ":".join(str(c) for c in self.triple) + "]"
+class ProjPoint(_Homogeneous):
+    __slots__ = ()
+    _kind = "()"
 
 
-def _dot(F, a, b):
-    acc = 0
-    for x, y in zip(a, b):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
+class ProjLine(_Homogeneous):
+    __slots__ = ()
+    _kind = "[]"
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(F):
+    """Addition, multiplication, negation and inverse tables of F."""
+    if F.q > ADD_TABLE_LIMIT:
+        raise PlaneError(f"no field tables above order {ADD_TABLE_LIMIT}")
+    q = range(F.q)
+    add = [[F.add(a, b) for b in q] for a in q]
+    mul = [[F.mul(a, b) for b in q] for a in q]
+    neg = [F.neg(a) for a in q]
+    inv = [0] + [F.inv(a) for a in q[1:]]
+    return add, mul, neg, inv
 
 
 def _mat_mul(F, A, B):
-    return tuple(
-        tuple(F.add(F.add(F.mul(A[i][0], B[0][j]), F.mul(A[i][1], B[1][j])),
-                    F.mul(A[i][2], B[2][j]))
-              for j in range(3))
-        for i in range(3))
+    add, mul = _tables(F)[:2]
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
+    out = []
+    for a0, a1, a2 in A:
+        m0, m1, m2 = mul[a0], mul[a1], mul[a2]
+        out.append((add[add[m0[b00]][m1[b10]]][m2[b20]],
+                    add[add[m0[b01]][m1[b11]]][m2[b21]],
+                    add[add[m0[b02]][m1[b12]]][m2[b22]]))
+    return out
 
 
-def _mat_vec(F, A, v):
-    return tuple(_dot(F, row, v) for row in A)
-
-
-def _vec_mat(F, v, A):
-    return tuple(_dot(F, v, (A[0][j], A[1][j], A[2][j])) for j in range(3))
-
-
-def _det3(F, A):
-    (a, b, c), (d, e, f), (g, h, i) = A
-    m = F.mul
-    s = F.sub
-    return s(s(F.add(F.add(m(a, m(e, i)), m(b, m(f, g))), m(c, m(d, h))),
-               F.add(m(c, m(e, g)), m(b, m(d, i)))),
-             m(a, m(f, h)))
+def _projective_rows(F, rows):
+    """rows scaled so the first nonzero entry in row-major order is 1."""
+    flat = [c for row in rows for c in row]
+    if len(flat) != 9:
+        raise PlaneError("need a 3x3 matrix")
+    lead = next((c for c in flat if c), 0)
+    if lead == 0:
+        raise PlaneError("zero matrix")
+    _, mul, _, inv = _tables(F)
+    flat = [mul[inv[lead]][c] for c in flat]
+    return tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])
 
 
 def _adjugate(F, A):
+    add, mul, neg, _ = _tables(F)
     (a, b, c), (d, e, f), (g, h, i) = A
-    m, s = F.mul, F.sub
-    return (
-        (s(m(e, i), m(f, h)), s(m(c, h), m(b, i)), s(m(b, f), m(c, e))),
-        (s(m(f, g), m(d, i)), s(m(a, i), m(c, g)), s(m(c, d), m(a, f))),
-        (s(m(d, h), m(e, g)), s(m(b, g), m(a, h)), s(m(a, e), m(b, d))),
-    )
+
+    def m(x, y, z, w):          # xy - zw
+        return add[mul[x][y]][neg[mul[z][w]]]
+
+    return ((m(e, i, f, h), m(c, h, b, i), m(b, f, c, e)),
+            (m(f, g, d, i), m(a, i, c, g), m(c, d, a, f)),
+            (m(d, h, e, g), m(b, g, a, h), m(a, e, b, d)))
 
 
 class Projectivity:
     """An element of PGL_3(K): invertible 3x3 matrix over K, normalized so
-    the first nonzero entry in row-major order is 1."""
+    the first nonzero entry in row-major order is 1, with its adjugate."""
 
-    __slots__ = ("field", "rows", "_adj")
+    __slots__ = ("field", "rows", "adj")
 
     def __init__(self, field, rows):
-        flat = [c for row in rows for c in row]
-        if len(flat) != 9:
-            raise PlaneError("need a 3x3 matrix")
-        lead = next((c for c in flat if c), 0)
-        if lead == 0:
-            raise PlaneError("zero matrix")
-        inv = field.inv(lead)
-        flat = [field.mul(c, inv) for c in flat]
         self.field = field
-        self.rows = (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9]))
-        if _det3(field, self.rows) == 0:
+        self.rows = _projective_rows(field, rows)
+        self.adj = _adjugate(field, self.rows)
+        # the determinant, expanded along the first row
+        add, mul = _tables(field)[:2]
+        (a, b, c), (c0, c1, c2) = self.rows[0], (r[0] for r in self.adj)
+        if add[add[mul[a][c0]][mul[b][c1]]][mul[c][c2]] == 0:
             raise PlaneError("singular matrix")
-        self._adj = None
 
     @classmethod
     def identity(cls, field):
@@ -156,34 +150,6 @@ class Projectivity:
 
     def __mul__(self, other):
         return Projectivity(self.field, _mat_mul(self.field, self.rows, other.rows))
-
-    def __pow__(self, n):
-        out = Projectivity.identity(self.field)
-        base = self
-        n = int(n)
-        if n < 0:
-            base, n = base.inverse(), -n
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            base = base * base
-        return out
-
-    def inverse(self):
-        return Projectivity(self.field, self._adjugate())
-
-    def _adjugate(self):
-        if self._adj is None:
-            self._adj = _adjugate(self.field, self.rows)
-        return self._adj
-
-    def apply_point(self, pt):
-        return ProjPoint(self.field, _mat_vec(self.field, self.rows, pt.triple))
-
-    def apply_line(self, ln):
-        # n M^(-1) is proportional to n adj(M); projectively the same line
-        return ProjLine(self.field, _vec_mat(self.field, ln.triple, self._adjugate()))
 
     def __eq__(self, other):
         return (isinstance(other, Projectivity)
@@ -202,20 +168,83 @@ class Projectivity:
 @functools.lru_cache(maxsize=16)
 def _plane_data(field):
     q = field.q
+    add, mul, neg, inv = _tables(field)
     triples = ([(x, y, 1) for x in range(q) for y in range(q)]
                + [(x, 1, 0) for x in range(q)]
                + [(1, 0, 0)])
     points = [ProjPoint(field, t) for t in triples]
     lines = [ProjLine(field, t) for t in triples]
+    # the q + 1 points of ax + by + cz = 0: point (x, y, 1) has index
+    # qx + y, (x, 1, 0) has q^2 + x and (1, 0, 0) is last
+    inf = q * q
     inc = []
-    for j, ln in enumerate(lines):
-        for i, pt in enumerate(points):
-            if _dot(field, ln.triple, pt.triple) == 0:
-                inc.append((i, j))
+    for j, (a, b, c) in enumerate(triples):
+        if b:
+            m = neg[inv[b]]         # y = -(ax + c)/b
+            inc += [(q * x + mul[add[mul[a][x]][c]][m], j) for x in range(q)]
+            inc.append((inf + mul[neg[b]][inv[a]] if a else inf + q, j))
+        elif a:
+            x = mul[neg[c]][inv[a]]
+            inc += [(q * x + y, j) for y in range(q)]
+            inc.append((inf, j))
+        else:                       # the line at infinity
+            inc += [(inf + x, j) for x in range(q + 1)]
     structure = IncidenceStructure(points, lines, inc)
     pt_index = {p.triple: i for i, p in enumerate(points)}
     ln_index = {l.triple: j for j, l in enumerate(lines)}
     return structure, pt_index, ln_index
+
+
+def _index_map(F, A, triples):
+    """The permutation of point indices induced by t -> A t."""
+    add, mul, _, inv = _tables(F)
+    q = F.q
+    (r0, r1, r2), (s0, s1, s2), (t0, t1, t2) = [[mul[c] for c in row] for row in A]
+    inf = q * q
+    out = []
+    for x, y, z in triples:
+        w = add[add[t0[x]][t1[y]]][t2[z]]
+        u = add[add[r0[x]][r1[y]]][r2[z]]
+        if w:
+            m = mul[inv[w]]
+            out.append(q * m[u] + m[add[add[s0[x]][s1[y]]][s2[z]]])
+        else:
+            v = add[add[s0[x]][s1[y]]][s2[z]]
+            out.append(inf + mul[u][inv[v]] if v else inf + q)
+    return out
+
+
+def _images(perms, factors, i):
+    """images[index] = i moved by the element of that index, the element
+    with coordinates c acting as the product of perms[k]^c[k]: one
+    mixed-radix walk, first coordinate most significant."""
+    images = [i]
+    for P, n in zip(reversed(perms), reversed(factors)):
+        block = images
+        for _ in range(n - 1):
+            block = [P[x] for x in block]
+            images += block
+    return images
+
+
+def _orbits(perms, n):
+    """The orbits of range(n) under the group the perms generate, as sorted
+    lists in order of least element, and each index's orbit."""
+    orbit_of = [None] * n
+    orbits = []
+    for i in range(n):
+        if orbit_of[i] is None:
+            orb = [i]
+            orbit_of[i] = orb
+            for x in orb:
+                for P in perms:
+                    y = P[x]
+                    if orbit_of[y] is None:
+                        orbit_of[y] = orb
+                        orb.append(y)
+            orb.sort()
+            orbits.append(orb)
+    return orbits, orbit_of
 
 
 def plane_build(field, cap=PLANE_CAP):
@@ -228,13 +257,17 @@ def plane_build(field, cap=PLANE_CAP):
 # ---------------------------------------------------------------------------
 # the nine families: (moduli, build, note) per tag
 
+def _powers(M, n):
+    out = [Projectivity.identity(M.field)]
+    for _ in range(n - 1):
+        out.append(out[-1] * M)
+    return out
+
+
 def _family_i(F):
     L = FieldExtension(F, 3)
     n = F.q ** 2 + F.q + 1
-    gen = Projectivity(F, L.mult_matrix(L.generator))
-    powers = [Projectivity.identity(F)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * gen)
+    powers = _powers(Projectivity(F, L.mult_matrix(L.generator)), n)
     note = ("cyclic of order q^2+q+1: multiplication by a generator of the "
             "cubic extension, matrices in the basis {1,t,t^2}")
     return (n,), (lambda nat: powers[nat[0]]), note
@@ -245,9 +278,7 @@ def _family_ii(F):
     n = F.q ** 2 - 1
     A = L.mult_matrix(L.generator)
     gen = Projectivity(F, ((A[0][0], A[0][1], 0), (A[1][0], A[1][1], 0), (0, 0, 1)))
-    powers = [Projectivity.identity(F)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * gen)
+    powers = _powers(gen, n)
     note = ("cyclic of order q^2-1: multiplication by a generator of the "
             "quadratic extension on the first two coordinates")
     return (n,), (lambda nat: powers[nat[0]]), note
@@ -278,10 +309,6 @@ def _family_iv(F):
     return moduli, build, note
 
 
-def _unipotent(F, a, b):
-    return Projectivity(F, ((1, a, b), (0, 1, a), (0, 0, 1)))
-
-
 def _family_v(F):
     if F.p != 2:
         half = F.inv(2 % F.p)
@@ -291,14 +318,14 @@ def _family_v(F):
             y = F.encode(nat[F.d:])
             # shear so that (x, y) -> matrix is a homomorphism from K^2
             corr = F.mul(half, F.mul(x, F.sub(x, 1)))
-            return _unipotent(F, x, F.add(y, corr))
+            return Projectivity(F, ((1, x, F.add(y, corr)), (0, 1, x), (0, 0, 1)))
 
         note = ("K^2 (q odd): unipotent matrices [[1,a,b],[0,1,a],[0,0,1]] "
                 "with b shifted by a(a-1)/2 to straighten the group law")
         return (F.p,) * (2 * F.d), build, note
 
-    gens = [_unipotent(F, F.encode([0] * i + [1]), 0) for i in range(F.d)]
-    pows = [[g ** k for k in range(4)] for g in gens]
+    basis = (F.encode([0] * i + [1]) for i in range(F.d))
+    pows = [_powers(Projectivity(F, ((1, a, 0), (0, 1, a), (0, 0, 1))), 4) for a in basis]
 
     def build(nat):
         out = Projectivity.identity(F)
@@ -311,38 +338,29 @@ def _family_v(F):
     return (4,) * F.d, build, note
 
 
-def _family_vi(F):
-    def build(nat):
-        a = F.encode(nat[:F.d])
-        b = F.encode(nat[F.d:])
-        return Projectivity(F, ((1, 0, b), (0, 1, a), (0, 0, 1)))
+def _translations(shape, note):
+    def family(F):
+        def build(nat):
+            return Projectivity(F, shape(F.encode(nat[:F.d]), F.encode(nat[F.d:])))
 
-    return ((F.p,) * (2 * F.d), build,
-            "K^2 of translations fixing the line at infinity pointwise")
+        return (F.p,) * (2 * F.d), build, note
 
-
-def _family_vii(F):
-    def build(nat):
-        a = F.encode(nat[:F.d])
-        b = F.encode(nat[F.d:])
-        return Projectivity(F, ((1, a, b), (0, 1, 0), (0, 0, 1)))
-
-    return ((F.p,) * (2 * F.d), build,
-            "K^2 of elations with a common center")
+    return family
 
 
-def _omega(F):
-    if (F.q - 1) % 3:
-        raise PlaneError("needs q = 1 mod 3 for a cube root of unity")
-    return F.exp((F.q - 1) // 3)
+_family_vi = _translations(lambda a, b: ((1, 0, b), (0, 1, a), (0, 0, 1)),
+                           "K^2 of translations fixing the line at infinity pointwise")
+_family_vii = _translations(lambda a, b: ((1, a, b), (0, 1, 0), (0, 0, 1)),
+                            "K^2 of elations with a common center")
 
 
 def _family_viii(F):
-    w = _omega(F)
+    if (F.q - 1) % 3:
+        raise PlaneError("needs q = 1 mod 3 for a cube root of unity")
+    w = F.exp((F.q - 1) // 3)
     D = Projectivity(F, ((1, 0, 0), (0, w, 0), (0, 0, F.mul(w, w))))
     P = Projectivity(F, ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
-    Dp = [Projectivity.identity(F), D, D * D]
-    Pp = [Projectivity.identity(F), P, P * P]
+    Dp, Pp = _powers(D, 3), _powers(P, 3)
 
     def build(nat):
         return Dp[nat[0]] * Pp[nat[1]]
@@ -357,10 +375,9 @@ def _family_ix(F):
         raise PlaneError("needs q = 1 mod 3")
     L = FieldExtension(F, 3)
     n = F.q ** 2 + F.q + 1
-    lam = Projectivity(F, L.mult_matrix(L.generator)) ** (n // 3)
+    lam = Projectivity(F, L.mult_matrix(L.pow(L.generator, n // 3)))
     frob = Projectivity(F, L.frobenius_matrix())
-    Lp = [Projectivity.identity(F), lam, lam * lam]
-    Fp = [Projectivity.identity(F), frob, frob * frob]
+    Lp, Fp = _powers(lam, 3), _powers(frob, 3)
 
     def build(nat):
         return Lp[nat[0]] * Fp[nat[1]]
@@ -385,9 +402,10 @@ class PlaneAction:
     """An abelian group acting on P^2(K) by projectivities.
 
     elements maps each GroupElement (invariant-factor coordinates) to its
-    Projectivity.  Point and line permutations are built lazily per group
-    element; orbit and stabilizer scans apply matrices to single points
-    instead, which is what extraction needs.
+    Projectivity.  Only the invariant-factor generators' matrices are
+    applied to points and lines, once each; orbits, stabilizers, the
+    images of a point and every element's permutation are composed from
+    those generator permutations over point and line indices.
     """
 
     def __init__(self, field, tag, group, elements, iso_note):
@@ -397,13 +415,19 @@ class PlaneAction:
         self.elements = elements
         self.iso_note = iso_note
         self.plane, self._pt_index, self._ln_index = _plane_data(field)
-        self._point_perms = {}
-        self._line_perms = {}
+        self._gens = [group.element(tuple(int(j == k) for j in range(group.rank)))
+                      for k in range(group.rank)]
+        triples = [p.triple for p in self.plane.points]
+        mats = [elements[g] for g in self._gens]
+        self._point_gens = [_index_map(field, M.rows, triples) for M in mats]
+        # n -> n M^(-1) is proportional to n adj(M) = (adj(M)^T n^T)^T
+        self._line_gens = [_index_map(field, tuple(zip(*M.adj)), triples)
+                           for M in mats]
         self._check()
 
     def _check(self):
-        ident = Projectivity.identity(self.field)
-        if self.elements[self.group.zero] != ident:
+        F = self.field
+        if self.elements[self.group.zero] != Projectivity.identity(F):
             raise PlaneError("identity does not act trivially")
         if len(set(self.elements.values())) != self.group.order:
             raise PlaneError("action is not faithful")
@@ -412,59 +436,58 @@ class PlaneAction:
         pairs = (itertools.product(items, items) if len(items) ** 2 <= 900
                  else ((rng.choice(items), rng.choice(items)) for _ in range(40)))
         for (g, mg), (h, mh) in pairs:
-            if mg * mh != self.elements[g + h]:
+            if (_projective_rows(F, _mat_mul(F, mg.rows, mh.rows))
+                    != self.elements[g + h].rows):
                 raise PlaneError(f"action is not a homomorphism at {g}, {h}")
         inc = self.plane.incidences
-        for i in range(self.group.rank):
-            coords = tuple(1 if j == i else 0 for j in range(self.group.rank))
-            g = self.group.element(coords)
-            pp, lp = self.point_perm(g), self.line_perm(g)
-            if {(pp[a], lp[b]) for a, b in inc} != set(inc):
+        for g, pp, lp in zip(self._gens, self._point_gens, self._line_gens):
+            if {(pp[a], lp[b]) for a, b in inc} != inc:
                 raise PlaneError(f"generator {g} breaks incidence")
 
     def matrix(self, g):
         return self.elements[self.group.element(g)]
 
+    def _perm(self, gens, g):
+        perm = list(range(self.plane.n_points))
+        for P, c in zip(gens, self.group.element(g).coords):
+            for _ in range(c):
+                perm = [P[x] for x in perm]
+        return tuple(perm)
+
     def point_perm(self, g):
-        g = self.group.element(g)
-        if g not in self._point_perms:
-            M = self.elements[g]
-            self._point_perms[g] = tuple(
-                self._pt_index[M.apply_point(p).triple] for p in self.plane.points)
-        return self._point_perms[g]
+        return self._perm(self._point_gens, g)
 
     def line_perm(self, g):
-        g = self.group.element(g)
-        if g not in self._line_perms:
-            M = self.elements[g]
-            self._line_perms[g] = tuple(
-                self._ln_index[M.apply_line(l).triple] for l in self.plane.lines)
-        return self._line_perms[g]
+        return self._perm(self._line_gens, g)
+
+    @functools.cached_property
+    def _point_orbits(self):
+        return _orbits(self._point_gens, self.plane.n_points)
+
+    @functools.cached_property
+    def _line_orbits(self):
+        return _orbits(self._line_gens, self.plane.n_lines)
 
     def point_orbit(self, i):
-        p = self.plane.points[i]
-        return frozenset(self._pt_index[M.apply_point(p).triple]
-                         for M in self.elements.values())
+        return frozenset(self._point_orbits[1][i])
 
     def line_orbit(self, j):
-        l = self.plane.lines[j]
-        return frozenset(self._ln_index[M.apply_line(l).triple]
-                         for M in self.elements.values())
+        return frozenset(self._line_orbits[1][j])
+
+    def _witness(self, gens, orbits, i):
+        # orbit-stabilizer: the stabilizer is trivial iff the orbit has |G|
+        # elements; otherwise the first fixing g in element order is named
+        if len(orbits[1][i]) == self.group.order:
+            return None
+        images = _images(gens, self.group.factors, i)
+        return next(g for g in self.elements if g and images[g.index] == i)
 
     def point_stabilizer_witness(self, i):
         """A nonzero g fixing point i, or None when the stabilizer is trivial."""
-        p = self.plane.points[i]
-        for g, M in self.elements.items():
-            if g and M.apply_point(p) == p:
-                return g
-        return None
+        return self._witness(self._point_gens, self._point_orbits, i)
 
     def line_stabilizer_witness(self, j):
-        l = self.plane.lines[j]
-        for g, M in self.elements.items():
-            if g and M.apply_line(l) == l:
-                return g
-        return None
+        return self._witness(self._line_gens, self._line_orbits, j)
 
     def to_json(self):
         return {"family": self.tag, "field": self.field.to_json(),
@@ -509,17 +532,8 @@ class OrbitReport:
 
 def orbit_analysis(action):
     """Full orbit decomposition of the plane under the group."""
-    def decompose(n, orbit_of):
-        seen, orbits = set(), []
-        for i in range(n):
-            if i not in seen:
-                orb = orbit_of(i)
-                orbits.append(sorted(orb))
-                seen |= orb
-        return orbits
-
-    po = decompose(action.plane.n_points, action.point_orbit)
-    lo = decompose(action.plane.n_lines, action.line_orbit)
+    po = [list(o) for o in action._point_orbits[0]]
+    lo = [list(o) for o in action._line_orbits[0]]
     return OrbitReport(po, lo,
                        [o[0] for o in po if len(o) == 1],
                        [o[0] for o in lo if len(o) == 1])
@@ -539,33 +553,18 @@ class ExtractResult:
                 "point": self.point_index, "line": self.line_index}
 
 
-def _resolve_point(action, pt):
-    if isinstance(pt, int):
-        return pt
-    if isinstance(pt, ProjPoint):
-        return action._pt_index[pt.triple]
-    return action._pt_index[ProjPoint(action.field, pt).triple]
-
-
-def _resolve_line(action, ln):
-    if isinstance(ln, int):
-        return ln
-    if isinstance(ln, ProjLine):
-        return action._ln_index[ln.triple]
-    return action._ln_index[ProjLine(action.field, ln).triple]
+def _resolve(index, cls, field, x):
+    if isinstance(x, int):
+        return x
+    return index[(x if isinstance(x, cls) else cls(field, x)).triple]
 
 
 def default_point_line(action):
-    """First point and first line with trivial stabilizer, canonical order."""
-    pi = li = None
-    for i in range(action.plane.n_points):
-        if action.point_stabilizer_witness(i) is None:
-            pi = i
-            break
-    for j in range(action.plane.n_lines):
-        if action.line_stabilizer_witness(j) is None:
-            li = j
-            break
+    """First point and first line with trivial stabilizer, canonical order:
+    by orbit-stabilizer, the first whose orbit has |G| elements."""
+    n = action.group.order
+    pi = next((i for i, o in enumerate(action._point_orbits[1]) if len(o) == n), None)
+    li = next((j for j, o in enumerate(action._line_orbits[1]) if len(o) == n), None)
     if pi is None:
         raise PlaneError("every point has a nontrivial stabilizer", side="point")
     if li is None:
@@ -581,11 +580,11 @@ def extract_sidon(action, point=None, line=None):
     integers.
     """
     if point is None or line is None:
-        dp, dl = default_point_line(action)
-        pi = dp if point is None else _resolve_point(action, point)
-        li = dl if line is None else _resolve_line(action, line)
-    else:
-        pi, li = _resolve_point(action, point), _resolve_line(action, line)
+        pi, li = default_point_line(action)
+    if point is not None:
+        pi = _resolve(action._pt_index, ProjPoint, action.field, point)
+    if line is not None:
+        li = _resolve(action._ln_index, ProjLine, action.field, line)
 
     w = action.point_stabilizer_witness(pi)
     if w is not None:
@@ -596,10 +595,9 @@ def extract_sidon(action, point=None, line=None):
         raise PlaneError(f"line {action.plane.lines[li]} has nontrivial "
                          f"stabilizer (contains {w})", side="line", witness=w)
 
-    p = action.plane.points[pi]
+    images = _images(action._point_gens, action.group.factors, pi)
     on_line = set(action.plane.line_points[li])
-    S = {g for g, M in action.elements.items()
-         if action._pt_index[M.apply_point(p).triple] in on_line}
+    S = {g for g in action.elements if images[g.index] in on_line}
     q = action.field.q
     d = (q + 1) - len(S)
     outside = len(on_line - action.point_orbit(pi))

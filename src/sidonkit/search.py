@@ -134,9 +134,11 @@ class _Indices:
         return out
 
     def pusher(self):
-        """push(F, D, Sigma, stack) -> the masks of stack from those of
-        stack[:-1], per the module docstring.  F may carry bits at n and
-        above; D and Sigma may not."""
+        """(push, start): push(state, stack) is the walk state of stack
+        from that of stack[:-1], and start the state of the empty stack.
+        A state is (F, D, Sigma) of the module docstring, for rank >= 2
+        followed by the masks of S and -S.  F may carry bits at n and
+        above; the other masks may not."""
         n, g = self.n, self.group
         halves = [0] * n
         for c in range(n):
@@ -149,7 +151,8 @@ class _Indices:
             sums = [1 << (t % n) for t in range(2 * n)]
             halves += halves
 
-            def push(F, D, Sigma, stack):
+            def push(state, stack):
+                F, D, Sigma = state
                 x = stack[-1]
                 for s in stack:
                     D |= pm[x - s]
@@ -158,16 +161,15 @@ class _Indices:
                     F |= halves[t]
                 return F | D << x | D >> (n - x) | Sigma >> x | Sigma << (n - x), D, Sigma
 
-            return push
+            return push, (0, 0, 0)
 
         shift, neg = self.shift, self.neg
 
-        def push(F, D, Sigma, stack):
+        def push(state, stack):
+            F, D, Sigma, S, N = state
             x = stack[-1]
-            S = N = 0
-            for s in stack:
-                S |= 1 << s
-                N |= 1 << neg[s]
+            S |= 1 << x
+            N |= 1 << neg[x]
             # the new differences x - S and S - x, and the new sums x + S
             D |= shift(N, x) | shift(S, neg[x])
             sums = shift(S, x)
@@ -176,9 +178,9 @@ class _Indices:
                 low = sums & -sums
                 sums ^= low
                 F |= halves[low.bit_length() - 1]
-            return F | shift(D, x) | shift(Sigma, neg[x]), D, Sigma
+            return F | shift(D, x) | shift(Sigma, neg[x]), D, Sigma, S, N
 
-        return push
+        return push, (0, 0, 0, 0, 0)
 
 
 class SearchResult:
@@ -212,15 +214,13 @@ def _dfs(ix, stack, roots, budget, label, visit, floor=(0,)):
     contract.  A node is pruned when its stack and available indices
     together cannot exceed floor[0].  Returns the number of nodes visited.
     """
-    push = ix.pusher()
-    F = D = Sigma = 0
+    push, state = ix.pusher()
     for i in range(1, len(stack)):
-        F, D, Sigma = push(F, D, Sigma, stack[:i])
+        state = push(state, stack[:i])
     nodes = 0
 
-    def walk(F, D, Sigma, cand, first=-1):
-        # F, D and Sigma are the masks of stack[:-1]: a node the hook
-        # stops at costs no push
+    def walk(state, cand, first=-1):
+        # state belongs to stack[:-1]: a node the hook stops at costs no push
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -229,8 +229,8 @@ def _dfs(ix, stack, roots, budget, label, visit, floor=(0,)):
         if verdict is not None:
             return verdict
         if stack:
-            F, D, Sigma = push(F, D, Sigma, stack)
-        avail = cand & ~F
+            state = push(state, stack)
+        avail = cand & ~state[0]
         if len(stack) + avail.bit_count() <= floor[0]:
             return False
         kids = avail & first
@@ -239,13 +239,13 @@ def _dfs(ix, stack, roots, budget, label, visit, floor=(0,)):
             kids ^= low
             stack.append(low.bit_length() - 1)
             # the child's candidates: this node's, above the child
-            done = walk(F, D, Sigma, avail & -(low << 1))
+            done = walk(state, avail & -(low << 1))
             stack.pop()
             if done:
                 return True
         return False
 
-    walk(F, D, Sigma, ix.full, roots)
+    walk(state, ix.full, roots)
     return nodes
 
 

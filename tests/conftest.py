@@ -100,3 +100,71 @@ def naive_presentation(basis, op, identity):
             g = op(g, row[k])
         table.append((ks, g))
     return table
+
+
+# -- projective planes: matrices applied to one point or line at a time ----
+
+def _normalized(F, t):
+    inv = F.inv(next(c for c in reversed(t) if c))
+    return tuple(F.mul(c, inv) for c in t)
+
+
+def _dot(F, a, b):
+    acc = 0
+    for x, y in zip(a, b):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+def brute_point_image(action, M, i):
+    """Index of M p, p the point of index i."""
+    t = action.plane.points[i].triple
+    return action._pt_index[_normalized(action.field, [_dot(action.field, row, t)
+                                                        for row in M.rows])]
+
+
+def brute_line_image(action, M, j):
+    """Index of n M^(-1), n the line of index j, computed as n adj(M)."""
+    F, t = action.field, action.plane.lines[j].triple
+    adj = M.adj
+    return action._ln_index[_normalized(F, [_dot(F, t, [adj[0][k], adj[1][k], adj[2][k]])
+                                            for k in range(3)])]
+
+
+def brute_point_orbit(action, i):
+    return frozenset(brute_point_image(action, M, i) for M in action.elements.values())
+
+
+def brute_line_orbit(action, j):
+    return frozenset(brute_line_image(action, M, j) for M in action.elements.values())
+
+
+def brute_point_witness(action, i):
+    """The first nonzero g, in the order of action.elements, fixing point i."""
+    return next((g for g, M in action.elements.items()
+                 if g and brute_point_image(action, M, i) == i), None)
+
+
+def brute_line_witness(action, j):
+    return next((g for g, M in action.elements.items()
+                 if g and brute_line_image(action, M, j) == j), None)
+
+
+def brute_extract(action, i, j):
+    """("refused", side, witness) when point i or line j has a nontrivial
+    stabilizer, else ("extracted", S, d): S = {g : g moves point i onto
+    line j}, d = q + 1 - |S|."""
+    for side, w in (("point", brute_point_witness(action, i)),
+                    ("line", brute_line_witness(action, j))):
+        if w is not None:
+            return "refused", side, w
+    on_line = set(action.plane.line_points[j])
+    S = {g for g, M in action.elements.items()
+         if brute_point_image(action, M, i) in on_line}
+    return "extracted", S, action.field.q + 1 - len(S)
+
+
+def brute_incidences(F, points, lines):
+    """Every (point, line) index pair with a zero dot product."""
+    return {(i, j) for j, l in enumerate(lines) for i, p in enumerate(points)
+            if _dot(F, l.triple, p.triple) == 0}

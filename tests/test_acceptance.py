@@ -36,7 +36,9 @@ from sidonkit.planes3 import (
     PlaneError,
     extract_sidon,
     family_build,
+    _plane_data,
     orbit_analysis,
+    plane_build,
     recover_constructions,
 )
 from sidonkit.quadforms import ClassGroup
@@ -210,6 +212,22 @@ def test_04_group_actions_on_planes():
                 with pytest.raises(PlaneError) as exc:
                     extract_sidon(family_build(field(q), tag))
                 assert exc.value.side == side, (tag, q)
+    # with the plane cache cleared, each budget includes solving the incidences
+    _plane_data.cache_clear()
+    with budget(0.6, "check 4, plane_build(GF(32))"):
+        assert plane_build(field(32)).n_points == 32 * 32 + 32 + 1
+    _plane_data.cache_clear()
+    with budget(0.5, "check 4, nine families at q = 16"):
+        for tag in FAMILY_TAGS:
+            try:
+                action = family_build(field(16), tag)
+            except PlaneError:
+                continue            # viii and ix need q = 1 mod 3
+            orbit_analysis(action)
+            try:
+                extract_sidon(action)
+            except PlaneError:
+                assert tag in ("vi", "vii")
 
 
 def test_05_orbit_counts():

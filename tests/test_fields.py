@@ -65,6 +65,24 @@ def test_field_axioms_sampled(p, d):
         assert F.pow(F.add(x, y), p) == F.add(F.pow(x, p), F.pow(y, p))
 
 
+PRIME_POWERS_TO_64 = [(p, d) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                                        43, 47, 53, 59, 61)
+                      for d in range(1, 7) if p ** d <= 64]
+
+
+@pytest.mark.parametrize("p,d", PRIME_POWERS_TO_64)
+def test_negation_table_matches_digit_formula(p, d):
+    F = field_create(p, d)
+    assert F._neg_table is not None
+    for a in range(F.q):
+        digits = [(a // p ** i) % p for i in range(d)]
+        expected = sum(((-c) % p) * p ** i for i, c in enumerate(digits))
+        assert F.neg(a) == expected
+        assert F.add(a, F.neg(a)) == 0
+        for b in range(0, F.q, 5):
+            assert F.add(F.sub(a, b), b) == a
+
+
 def test_distributivity_exhaustive_gf8():
     F = field_create(2, 3)
     for x in range(8):

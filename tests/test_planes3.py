@@ -1,7 +1,23 @@
+import functools
+import json
 import logging
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (
+    brute_extract,
+    brute_incidences,
+    brute_line_image,
+    brute_line_orbit,
+    brute_line_witness,
+    brute_point_image,
+    brute_point_orbit,
+    brute_point_witness,
+)
+from sidonkit.cli import main
 from sidonkit.fields import field_create
 from sidonkit.incidence import is_projective_plane
 from sidonkit.planes3 import (
@@ -13,6 +29,7 @@ from sidonkit.planes3 import (
     plane_build,
     recover_constructions,
 )
+from sidonkit.planes3 import _plane_data
 from sidonkit.sidon import is_sidon
 
 F3 = field_create(3, 1)
@@ -150,7 +167,6 @@ def test_extract_with_incident_flag_still_sidon():
     # when the chosen point lies on the chosen line, the identity lands in
     # S; the set stays Sidon and keeps its size
     action = family_build(F3, "i")
-    from sidonkit.planes3 import _plane_data
     structure, _, _ = _plane_data(F3)
     i, j = next(iter(structure.incidences))
     ext = extract_sidon(action, point=i, line=j)
@@ -195,3 +211,115 @@ def test_recover_q4_skips_parabola():
 def test_recover_rejects_tiny_field():
     with pytest.raises(PlaneError):
         recover_constructions(field_create(2, 1))
+
+
+# -- the permutation machinery against matrices applied point by point -----
+
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+          9: (3, 2), 11: (11, 1), 13: (13, 1), 16: (2, 4)}
+
+
+@functools.lru_cache(maxsize=None)
+def action_of(q, tag):
+    try:
+        return family_build(field_create(*FIELDS[q]), tag)
+    except PlaneError:
+        return None
+
+
+@st.composite
+def action_point_line(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    tag = draw(st.sampled_from([t for t in FAMILY_TAGS if action_of(q, t)]))
+    n = q * q + q + 1
+    return action_of(q, tag), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(action_point_line())
+def test_orbits_and_witnesses_match_matrices(apl):
+    action, i, j = apl
+    assert action.point_orbit(i) == brute_point_orbit(action, i)
+    assert action.line_orbit(j) == brute_line_orbit(action, j)
+    assert action.point_stabilizer_witness(i) == brute_point_witness(action, i)
+    assert action.line_stabilizer_witness(j) == brute_line_witness(action, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(action_point_line())
+def test_extraction_matches_matrices(apl):
+    action, i, j = apl
+    expected = brute_extract(action, i, j)
+    try:
+        ext = extract_sidon(action, point=i, line=j)
+    except PlaneError as exc:
+        assert expected == ("refused", exc.side, exc.witness)
+    else:
+        assert expected == ("extracted", ext.S, ext.d)
+        # S keeps the order of action.elements, as the matrix scan built it
+        assert list(ext.S) == list(expected[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(action_point_line(), st.data())
+def test_element_perms_and_orbit_analysis_match_matrices(apl, data):
+    action, _, _ = apl
+    g = data.draw(st.sampled_from(list(action.elements)))
+    M = action.elements[g]
+    n = action.plane.n_points
+    assert action.point_perm(g) == tuple(brute_point_image(action, M, i) for i in range(n))
+    assert action.line_perm(g) == tuple(brute_line_image(action, M, j) for j in range(n))
+    rep = orbit_analysis(action)
+    for orbits, brute in ((rep.point_orbits, brute_point_orbit),
+                          (rep.line_orbits, brute_line_orbit)):
+        expected, seen = [], set()
+        for i in range(n):
+            if i not in seen:
+                expected.append(sorted(brute(action, i)))
+                seen.update(expected[-1])
+        assert orbits == expected
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_constructed_incidences_match_dot_products(q):
+    F = field_create(*FIELDS[q])
+    structure, _, _ = _plane_data(F)
+    assert structure.incidences == brute_incidences(F, structure.points, structure.lines)
+    assert all(len(pts) == q + 1 for pts in structure.line_points)
+
+
+# -- golden outputs, recorded before the permutation machinery -------------
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "planes_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN["cli"], ids=lambda c: " ".join(c["argv"][1:]))
+def test_planes_cli_golden(capsys, case):
+    """Byte-exact stdout and exit code of planes orbits, extract and
+    recover, as recorded in planes_golden.json."""
+    code = main(case["argv"])
+    assert (code, capsys.readouterr().out) == (case["code"], case["stdout"])
+
+
+def _json(g):
+    return None if g is None else g.to_json()
+
+
+@pytest.mark.parametrize("case", GOLDEN["api"], ids=lambda c: f"q{c['q']}-{c['family']}")
+def test_planes_api_golden(case):
+    """Stabilizer witnesses of every point and line, and extraction or its
+    refusal (message, side, witness) on a grid of flags."""
+    action = action_of(case["q"], case["family"])
+    n = action.plane.n_points
+    points = [_json(action.point_stabilizer_witness(i)) for i in range(n)]
+    lines = [_json(action.line_stabilizer_witness(j)) for j in range(n)]
+    assert (points, lines) == (case["point_witness"], case["line_witness"])
+    for row in case["extract"]:
+        try:
+            ext = extract_sidon(action, point=row["point"], line=row["line"])
+        except PlaneError as exc:
+            got = {"error": str(exc), "side": exc.side, "witness": _json(exc.witness)}
+        else:
+            got = {"S": [g.to_json() for g in sorted(ext.S)], "d": ext.d,
+                   "bound_ok": ext.bound_ok}
+        assert {"point": row["point"], "line": row["line"], **got} == row
