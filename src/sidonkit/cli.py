@@ -9,6 +9,7 @@ arrays; sigma tables are the one CSV output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -157,9 +158,17 @@ def cmd_verify(args):
     group = _parse_group(args.group)
     S = _parse_elements(args.set, group)
     report = is_sidon(group, S)
-    payload = report.to_json()
+    payload = report.to_json(compact=True)
+    del payload["t_set_size"]
     payload["perfect_difference_set"] = report.sidon and report.t_set_size == 1
-    _emit(payload)
+    # the T-set is O(|G|) text: write it where its key sorts, straight from
+    # the report, around the rest of the payload
+    payload["t_set"] = None
+    head, _, tail = json.dumps(payload, sort_keys=True).partition('"t_set": null')
+    out = sys.stdout
+    out.write(f'{head}"t_set": ')
+    report.write_t_set(out)
+    out.write(f"{tail}\n")
     return EXIT_OK
 
 
@@ -317,6 +326,7 @@ def cmd_orders(args):
 # ------------------------------------------------------------ arg wiring
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sidonkit",

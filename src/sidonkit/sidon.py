@@ -5,18 +5,23 @@ A subset S of an abelian group is Sidon when x + y = z + w forces
 Verification tallies the difference multiset in a dict keyed by the
 mixed-radix element encoding, so the verdict, witness and energy are exact
 and O(|S|^2) whatever the size of the group.  The T-set (everything S - S
-misses, plus 0) costs O(|G|) only when it is read.
+misses, plus 0) costs O(|G|) only when it is read, and its JSON text is
+written from cached block templates, O(|G|) bytes rather than objects.
 """
 
 from __future__ import annotations
 
-import gc
+import bisect
+import functools
 import itertools
 import math
 
 from .groups import GroupElement, GroupError, _generates, automorphisms, endo_apply
 
 ORDER_CAP = 1 << 24
+
+# fewest elements a T-set text template covers, unless the group is smaller
+_T_BLOCK = 1000
 
 
 class SidonReport:
@@ -51,17 +56,32 @@ class SidonReport:
         return itertools.compress(
             itertools.product(*(range(n) for n in self.group.factors)), mask)
 
-    def _t_set_json(self):
-        # up to |G| small acyclic lists: pause the cyclic collector, whose
-        # full passes over the growing list took three quarters of the
-        # time for a T-set of 2^20 elements
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return list(map(list, self._t_coords()))
-        finally:
-            if enabled:
-                gc.enable()
+    def write_t_set(self, stream):
+        """Write json.dumps(self.to_json()["t_set"]) to stream.
+
+        Blocks of consecutive indices (see _t_blocks) that hold no
+        difference are written as their cached template joined by the
+        block's prefix; the at most |S|^2 blocks that hold one, and ragged
+        last blocks, join the template items that survive.
+        """
+        missing = sorted(self._differences)
+        pos = 0
+        sep = "["
+        for base, count, prefix, items, parts in _t_blocks(self.group.factors):
+            stop = bisect.bisect_left(missing, base + count, pos)
+            if stop == pos and count == len(items):
+                text = prefix.join(parts)
+            else:
+                skip = {d - base for d in missing[pos:stop]}
+                text = ", ".join(items[i] for i in range(count) if i not in skip)
+                text = text.replace("@", prefix)
+                pos = stop
+                if not text:
+                    continue
+            stream.write(sep)
+            stream.write(text)
+            sep = ", "
+        stream.write("]")
 
     @property
     def t_set(self):
@@ -84,7 +104,7 @@ class SidonReport:
         if compact:
             out["t_set_size"] = self.t_set_size
         else:
-            out["t_set"] = self._t_set_json()
+            out["t_set"] = list(map(list, self._t_coords()))
         out["energy"] = self.energy
         out["density_ratio"] = self.density_ratio
         return out
@@ -92,6 +112,53 @@ class SidonReport:
     def __repr__(self):
         verdict = "sidon" if self.sidon else f"not sidon, witness {self.witness}"
         return f"<SidonReport |S|={self.size} {verdict} energy={self.energy}>"
+
+
+@functools.lru_cache(maxsize=16)
+def _t_template(count, pad, rest):
+    """Texts "[@v, c_1, ..., c_s]" in index order for v < count, written
+    with at least pad digits, and every c in range(rest[0]) x ... x
+    range(rest[-1]); "@" stands for a block prefix.  Also their ", " join
+    split at "@", which the prefix joins into a block's text."""
+    tails = ["".join(f", {c}" for c in t) for t in itertools.product(*map(range, rest))]
+    items = [f"[@{str(v).zfill(pad)}{t}]" for v in range(count) for t in tails]
+    return items, ", ".join(items).split("@")
+
+
+def _t_blocks(factors):
+    """Cut the index range of a group into blocks of consecutive indices
+    whose element texts share one template: yields (base, count, prefix,
+    items, parts) in index order, items and parts from _t_template.
+
+    The template covers the trailing coordinates m x rest, the fewest that
+    hold _T_BLOCK elements, and the prefix is the leading coordinates.  When
+    m holds more than the template needs, its values are cut by decimal
+    digits: run h >= 1 covers h * 10^k .. h * 10^k + 10^k - 1, written as
+    str(h) in the prefix and k zero-padded digits in the template, and
+    run 0 takes the unpadded template.  On Z/n, n > 1000, the block of
+    index i has prefix str(i // 1000), and the first block an empty one.
+    """
+    if not factors:
+        yield 0, 1, "", ["[]"], ["[]"]
+        return
+    r = len(factors)
+    j = 1
+    while j < r and math.prod(factors[r - j:]) < _T_BLOCK:
+        j += 1
+    m, rest = factors[r - j], factors[r - j + 1:]
+    span = math.prod(rest)
+    k = 1
+    while 10**k * span < _T_BLOCK:
+        k += 1
+    step = min(10**k, m)
+    base = 0
+    for lead in itertools.product(*map(range, factors[:r - j])):
+        head = "".join(f"{c}, " for c in lead)
+        for h, v in enumerate(range(0, m, step)):
+            items, parts = _t_template(step, k if h else 0, rest)
+            count = min(step, m - v) * span
+            yield base, count, f"{head}{h}" if h else head, items, parts
+            base += count
 
 
 def _canonical_witness(x, y, z, w):

@@ -20,6 +20,7 @@ import math
 
 import mpmath
 import sympy
+from sympy.ntheory import discrete_log
 
 from .fields import FiniteField, field_create
 from .groups import AbelianGroup, invariant_factor_form
@@ -134,7 +135,10 @@ class UnitGroup:
 
     Odd prime power factors are cyclic on their smallest primitive
     root; the 2-part of m contributes nothing for 2, the class of -1
-    for 4, and <-1> x <3> for higher powers of two.
+    for 4, and <-1> x <3> for higher powers of two.  encode takes one
+    discrete log per prime-power part when it is asked
+    (sympy.ntheory.discrete_log, Pohlig-Hellman over the factored
+    order), so no table of the units is built.
     """
 
     def __init__(self, m):
@@ -142,7 +146,7 @@ class UnitGroup:
             raise SparseError(f"need m >= 3, got {m}")
         self.m = m
         moduli = []
-        self._tables = []  # (modulus p^e, [(dlog table, order, generator)])
+        self.generators = {}  # p^e -> generators of its cyclic factors
         for p, e in sorted(sympy.factorint(m).items()):
             pe = p**e
             if p == 2:
@@ -150,49 +154,28 @@ class UnitGroup:
                     continue
                 if e == 2:
                     moduli.append(2)
-                    self._tables.append((4, [({3: 1, 1: 0}, 2, 3)]))
+                    self.generators[4] = [3]
                     continue
-                half = pe >> 2
-                t3 = {}
-                x = 1
-                for k in range(half):
-                    t3[x] = k
-                    x = 3 * x % pe
-                tneg = {1: 0, pe - 1: 1}
-                moduli.extend([2, half])
-                self._tables.append((pe, [(tneg, 2, pe - 1), (t3, half, 3)]))
+                moduli.extend([2, pe >> 2])
+                self.generators[pe] = [pe - 1, 3]
                 continue
-            order = pe - pe // p
-            g = sympy.primitive_root(pe)
-            tbl = {}
-            x = 1
-            for k in range(order):
-                tbl[x] = k
-                x = x * g % pe
-            moduli.append(order)
-            self._tables.append((pe, [(tbl, order, g)]))
+            moduli.append(pe - pe // p)
+            self.generators[pe] = [sympy.primitive_root(pe)]
         self.group, self._convert = invariant_factor_form(tuple(moduli))
         self.order = self.group.order
-        self.generators = {
-            pe: [g for _, _, g in gens] for pe, gens in self._tables
-        }
 
     def encode(self, u):
         if math.gcd(u, self.m) != 1:
             raise SparseError(f"{u} is not a unit mod {self.m}")
         coords = []
-        for pe, gens in self._tables:
+        for pe, gens in self.generators.items():
             r = u % pe
             if len(gens) == 2:
-                tneg, _, _ = gens[0]
-                t3, half, _ = gens[1]
-                if r in t3:
-                    coords.extend([0, t3[r]])
-                else:
-                    coords.extend([1, t3[(pe - r) % pe]])
+                # <3> mod 2^e holds the residues 1 and 3 mod 8, -<3> the rest
+                neg = r % 8 not in (1, 3)
+                coords.extend([int(neg), discrete_log(pe, pe - r if neg else r, 3)])
             else:
-                tbl, _, _ = gens[0]
-                coords.append(tbl[r])
+                coords.append(discrete_log(pe, r, gens[0]))
         return self._convert(tuple(coords))
 
 

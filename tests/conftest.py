@@ -1,4 +1,8 @@
 import itertools
+import math
+
+import sympy
+from hypothesis import strategies as st
 
 from sidonkit.groups import AbelianGroup
 
@@ -36,6 +40,39 @@ def brute_sidon_sets(group):
 
     grow([0], {group.add_coords(coords[0], coords[0])}, 1)
     return out
+
+
+@st.composite
+def block_edge_instance(draw, max_order=5000):
+    """A group of rank 1-3 and order at most max_order with up to eight
+    elements, both placed on the edges of T-set text blocks: invariant
+    factors are often near multiples of 10, 100 and 1000, so that last
+    blocks come out ragged, and coordinates sit mostly at 0, 1, -1 and
+    next to those multiples, so that differences fall on the first and
+    last indices of blocks."""
+    def near_edge(v):
+        return any(v % 10**e in (0, 1, 10**e - 1) for e in (2, 3))
+
+    rank = draw(st.integers(1, 3))
+    factors = []
+    for i in range(rank):
+        prev, used, left = max(factors, default=1), math.prod(factors), rank - i
+        top = 1
+        while used * (prev * (top + 1)) ** left <= max_order:
+            top += 1
+        steps = range(2 if i == 0 else 1, top + 1)
+        edged = [a for a in steps if near_edge(prev * a)]
+        factors.append(prev * draw(st.one_of(st.sampled_from(edged), st.sampled_from(steps))
+                                   if edged else st.sampled_from(steps)))
+    edges = []
+    for n in factors:
+        near = {0, 1, n - 1} | {c * 10**e + d for e in (1, 2, 3) for c in range(1, 10)
+                                for d in (-1, 0, 1)}
+        edges.append(st.one_of(st.sampled_from(sorted(v for v in near if v < n)),
+                               st.integers(0, n - 1)))
+    group = AbelianGroup(factors)
+    S = draw(st.lists(st.tuples(*edges), min_size=1, max_size=8))
+    return group, [group.element(c) for c in S]
 
 
 def brute_max(group):
@@ -168,3 +205,46 @@ def brute_incidences(F, points, lines):
     """Every (point, line) index pair with a zero dot product."""
     return {(i, j) for j, l in enumerate(lines) for i, p in enumerate(points)
             if _dot(F, l.triple, p.triple) == 0}
+
+
+# -- unit groups: every discrete log tabulated up front ---------------------
+
+def table_unit_encoder(m):
+    """Reference encoder for UnitGroup(m): a discrete-log table of every
+    unit of each prime-power part, on the same generators, returning the
+    coordinates before the invariant-factor conversion."""
+    tables = []  # (p^e, [dlog table of each cyclic factor])
+    for p, e in sorted(sympy.factorint(m).items()):
+        pe = p**e
+        if p == 2:
+            if e == 1:
+                continue
+            if e == 2:
+                tables.append((4, [{1: 0, 3: 1}]))
+                continue
+            t3, x = {}, 1
+            for k in range(pe >> 2):
+                t3[x] = k
+                x = 3 * x % pe
+            tables.append((pe, [{1: 0, pe - 1: 1}, t3]))
+            continue
+        g = sympy.primitive_root(pe)
+        tbl, x = {}, 1
+        for k in range(pe - pe // p):
+            tbl[x] = k
+            x = x * g % pe
+        tables.append((pe, [tbl]))
+
+    def encode(u):
+        coords = []
+        for pe, (tbl, *t3) in tables:
+            r = u % pe
+            if not t3:
+                coords.append(tbl[r])
+            elif r in t3[0]:
+                coords.extend([0, t3[0][r]])
+            else:
+                coords.extend([1, t3[0][(pe - r) % pe]])
+        return tuple(coords)
+
+    return encode

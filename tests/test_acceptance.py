@@ -5,15 +5,20 @@ per check.  Each check asserts its own wall-clock budget, so a pass
 means both the mathematics and the runtime contract hold.
 """
 
+import hashlib
+import io
 import itertools
+import json
 import math
+import pathlib
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import pytest
 import sympy
 
+from sidonkit.cli import main as cli_main
 from sidonkit.dense import (
     ConstructionError,
     PlanarCandidate,
@@ -343,6 +348,15 @@ def test_07_sparse_constructions():
     with budget(0.1, "check 7, is_sidon of 10 elements in Z/2^22"):
         rep = is_sidon(G, els(G, *(3 ** i for i in range(10))))
         assert rep.sidon and rep.t_set_size == G.order - 10 * 9
+
+    # verify writes the T-set text of Z/2^20 from block templates
+    golden = json.loads((pathlib.Path(__file__).parent / "verify_golden.json").read_text())
+    [case] = [c for c in golden if c["argv"][2] == str(1 << 20)]
+    buf = io.StringIO()
+    with budget(0.3, "check 7, verify in Z/2^20"):
+        with redirect_stdout(buf):
+            assert cli_main(case["argv"]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == case["sha256"]
 
     with budget(2, "check 7, ClassGroup(-10000019)"):
         cg = ClassGroup(-10000019)

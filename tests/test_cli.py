@@ -1,9 +1,15 @@
+import hashlib
+import io
 import json
 import pathlib
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
 
-from sidonkit.cli import main
+from conftest import block_edge_instance
+from sidonkit.cli import build_parser, main
+from sidonkit.sidon import is_sidon
 
 
 def run(capsys, *argv):
@@ -54,6 +60,45 @@ def test_verify(capsys):
     code, j = run_json(capsys, "verify", "--group", "3,3", "--set", "0:0,1:0,0:1,2:2")
     assert code == 0
     assert j["sidon"] is False and j["witness"] is not None
+
+
+@settings(deadline=None, max_examples=100)
+@given(block_edge_instance())
+def test_verify_prints_the_report_json(gs):
+    """verify writes its T-set text around the rest of the payload; the
+    line is the sorted json.dumps of the report's dict form."""
+    G, S = gs
+    argv = ["verify", "--group", ",".join(map(str, G.factors)),
+            "--set", ",".join(":".join(map(str, s.coords)) for s in S)]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    rep = is_sidon(G, S)
+    want = rep.to_json()
+    want["perfect_difference_set"] = rep.sidon and rep.t_set_size == 1
+    assert json.loads(buf.getvalue()) == want
+    assert buf.getvalue() == json.dumps(want, sort_keys=True) + "\n"
+
+
+def test_cached_parser_answers_as_on_first_use(capsys):
+    """build_parser is built once per process; reusing it, in either
+    order of commands, changes no stdout and no exit code."""
+    argvs = [["verify", "--group", "13", "--set", "0,1,3,9"],
+             ["sparse", "log_primes", "--X", "10"],
+             ["search", "--group", "5,25", "--budget", "100"],
+             ["--help"]]
+
+    def once(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    first = [once(argv) for argv in argvs]
+    assert [code for code, _ in first] == [0, 0, 3, 0]
+    assert [once(argv) for argv in reversed(argvs)] == first[::-1]
+    assert build_parser() is build_parser()
 
 
 def test_develop(capsys):
@@ -195,3 +240,25 @@ def test_cli_golden(capsys, case):
     commands, as recorded in cli_golden.json."""
     code, out = run(capsys, *case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
+
+
+VERIFY_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "verify_golden.json").read_text())
+
+
+def _verify_id(case):
+    group, S = case["argv"][2], case["argv"][4]
+    return f"{group} {S}" if len(S) < 40 else f"{group} |S|={S.count(',') + 1}"
+
+
+@pytest.mark.parametrize("case", VERIFY_GOLDEN, ids=_verify_id)
+def test_verify_golden(capsys, case):
+    """Byte-exact verify stdout and exit code, as recorded in
+    verify_golden.json; outputs over 16 kB are pinned by length and sha256."""
+    code, out = run(capsys, *case["argv"])
+    if "stdout" in case:
+        assert (code, out) == (case["code"], case["stdout"])
+    else:
+        data = out.encode()
+        assert (code, len(data), hashlib.sha256(data).hexdigest()) == \
+            (case["code"], case["bytes"], case["sha256"])

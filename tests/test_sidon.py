@@ -1,12 +1,14 @@
 import functools
+import io
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_sidon, cyclic, els
+from conftest import block_edge_instance, brute_sidon, cyclic, els
 from sidonkit.groups import AbelianGroup, GroupError, automorphisms, endo_apply
 from sidonkit.sidon import (
     _match_translation,
@@ -175,6 +177,35 @@ def test_is_sidon_counts_differences_past_255():
     assert [g.coords[0] for g in rep.t_set] == [0] + list(range(k, 1000 - k + 1))
     assert rep.to_json()["t_set"] == [g.to_json() for g in rep.t_set]
     assert rep.to_json(compact=True)["t_set_size"] == rep.t_set_size
+
+
+@settings(deadline=None, max_examples=200)
+@given(block_edge_instance())
+def test_write_t_set_is_json_dumps_of_the_list(gs):
+    G, S = gs
+    rep = is_sidon(G, S)
+    buf = io.StringIO()
+    rep.write_t_set(buf)
+    assert buf.getvalue() == json.dumps(rep.to_json()["t_set"])
+
+
+@pytest.mark.parametrize("factors", [(999,), (1000,), (1001,), (1998,), (1999,),
+                                     (2000,), (2001,), (2999,), (2, 1998), (2, 2000),
+                                     (12, 240), (20, 400)])
+@pytest.mark.parametrize("idxs", [(0,), (0, 1), (0, 999), (0, 1000), (0, 1, 3)])
+def test_write_t_set_on_ragged_and_full_blocks(factors, idxs):
+    G = AbelianGroup(factors)
+    rep = is_sidon(G, els(G, *(G.coords_of(i) for i in idxs)))
+    buf = io.StringIO()
+    rep.write_t_set(buf)
+    assert buf.getvalue() == json.dumps(rep.to_json()["t_set"])
+
+
+def test_write_t_set_of_the_trivial_group():
+    rep = is_sidon(AbelianGroup(()), [])
+    buf = io.StringIO()
+    rep.write_t_set(buf)
+    assert buf.getvalue() == json.dumps(rep.to_json()["t_set"]) == "[[]]"
 
 
 def test_subgroup_union_cover_positive():

@@ -1,9 +1,11 @@
 import itertools
 import math
+import random
 
 import pytest
 import sympy
 
+from conftest import table_unit_encoder
 from sidonkit.groups import AbelianGroup
 from sidonkit.pell import CFData
 from sidonkit.sidon import is_sidon
@@ -75,6 +77,21 @@ def test_unit_group_is_isomorphism(m):
     assert len(images) == len(us)
     for u, v in itertools.product(us, repeat=2):
         assert units.encode(u * v % m) == units.encode(u) + units.encode(v)
+
+
+def test_unit_group_matches_table_oracle():
+    """Discrete logs taken on demand agree with a table of every unit, on
+    every modulus up to 2000: all units of a power of two or of a group of
+    at most 12 units, else -1 and 11 drawn units."""
+    rng = random.Random(2000)
+    for m in range(3, 2001):
+        units = UnitGroup(m)
+        oracle = table_unit_encoder(m)
+        us = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        if len(us) > 12 and m & (m - 1):
+            us = [m - 1] + rng.sample(us, 11)
+        for u in us:
+            assert units.encode(u) == units._convert(oracle(u)), (m, u)
 
 
 def test_quotient_ring_primes():
