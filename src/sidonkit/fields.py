@@ -382,15 +382,6 @@ class FiniteField:
                 return cand
         raise FieldError("no generator found")  # pragma: no cover
 
-    def element_order(self, a):
-        if a == 0:
-            raise FieldError("zero has no multiplicative order")
-        n = self.q - 1
-        for r in self._factors_qm1:
-            while n % r == 0 and self.pow(a, n // r) == 1:
-                n //= r
-        return n
-
     def exp(self, k):
         k %= (self.q - 1) if self.q > 2 else 1
         if self._exp is not None:

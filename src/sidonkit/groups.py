@@ -95,6 +95,10 @@ class AbelianGroup:
         self.rank = len(factors)
         self.order = math.prod(factors)
         self.exponent = factors[-1] if factors else 1
+        # (weight, modulus, weight * modulus) per coordinate, most
+        # significant first: the digit of index i is i // weight % modulus
+        weights = [self.order // math.prod(factors[:i + 1]) for i in range(self.rank)]
+        self._radix = tuple((w, n, w * n) for w, n in zip(weights, factors))
 
     @classmethod
     def cyclic(cls, n):
@@ -113,6 +117,57 @@ class AbelianGroup:
 
     def smul_coords(self, k, a):
         return tuple((k * x) % n for x, n in zip(a, self.factors))
+
+    # -- index arithmetic (mixed-radix indices in, index out) ----------------
+    # Z/n takes one %.  Otherwise the digit sums are added as integers and
+    # each digit that overflows its modulus m (borrows, for sub) gives back
+    # m weights: no tuples are built.
+
+    def add(self, a, b):
+        if self.rank == 1:
+            return (a + b) % self.order
+        out = a + b
+        for w, n, wn in self._radix:
+            if a // w % n + b // w % n >= n:
+                out -= wn
+        return out
+
+    def sub(self, a, b):
+        if self.rank == 1:
+            return (a - b) % self.order
+        out = a - b
+        for w, n, wn in self._radix:
+            if a // w % n < b // w % n:
+                out += wn
+        return out
+
+    def neg(self, a):
+        return self.sub(0, a)
+
+    def smul(self, k, a):
+        if self.rank == 1:
+            return k * a % self.order
+        # a // w is the digit plus a multiple of its modulus
+        return sum(k * (a // w) % n * w for w, n, _ in self._radix)
+
+    def span(self, gens):
+        """The subgroup generated by the indices gens, as a frozenset of
+        indices.  Each generator g outside the span H so far grows it to
+        the disjoint union of the cosets H + kg, k below the least m with
+        mg in H, so every member is reached by one addition."""
+        members = [0]
+        seen = {0}
+        for g in gens:
+            if g in seen:
+                continue
+            grown = list(members)
+            x = g
+            while x not in seen:
+                grown += [self.add(h, x) for h in members]
+                x = self.add(x, g)
+            members = grown
+            seen = set(members)
+        return frozenset(seen)
 
     # -- indexing: mixed radix, first coordinate most significant ------------
 
@@ -220,53 +275,8 @@ def invariant_factor_form(moduli):
     return group, convert
 
 
-def subgroup_generated(group, gens):
-    """Closure of gens under addition and negation, as a sorted element list."""
-    zero = (0,) * group.rank
-    seen = {zero}
-    frontier = [zero]
-    gcoords = [group.element(g).coords for g in gens]
-    gcoords += [group.neg_coords(c) for c in gcoords]
-    while frontier:
-        cur = frontier.pop()
-        for g in gcoords:
-            nxt = group.add_coords(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return [GroupElement(group, c) for c in sorted(seen)]
-
-
 # ---------------------------------------------------------------------------
 # automorphisms
-
-def endomorphism_candidates(group):
-    """For each canonical generator e_i, the elements g with n_i * g = 0."""
-    per = []
-    for ni in group.factors:
-        axes = []
-        for nj in group.factors:
-            step = nj // math.gcd(ni, nj)
-            axes.append(range(0, nj, step))
-        per.append([tuple(c) for c in itertools.product(*axes)])
-    return per
-
-
-def _generates(group, images):
-    seen = {(0,) * group.rank}
-    frontier = list(seen)
-    gens = list(images) + [group.neg_coords(c) for c in images]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = group.add_coords(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-                if len(seen) == group.order:
-                    return True
-    return len(seen) == group.order
-
 
 def automorphisms(group):
     """Yield every automorphism as a tuple of generator images (coords).
@@ -275,12 +285,10 @@ def automorphisms(group):
     image respects the order of e_i, and an automorphism iff the images
     generate (a surjective endomorphism of a finite group is bijective).
     """
-    if group.rank == 0:
-        yield ()
-        return
-    for images in itertools.product(*endomorphism_candidates(group)):
-        if _generates(group, images):
-            yield images
+    per = [[g for g in range(group.order) if group.smul(n, g) == 0] for n in group.factors]
+    for images in itertools.product(*per):
+        if len(group.span(images)) == group.order:
+            yield tuple(map(group.coords_of, images))
 
 
 def endo_apply(group, images, coords):

@@ -2,7 +2,9 @@
 
 All searches run over element indices (mixed radix, as
 AbelianGroup.index_of) and keep sets of indices as Python-int bitmasks:
-bit c stands for the element of index c.
+bit c stands for the element of index c.  The negation and halving
+tables and the unit orbits come from the group's index arithmetic
+(AbelianGroup.neg, add and smul); only mask translates are computed here.
 
 The walker, _dfs, extends a stack S of indices.  With D = S - S (0
 included) and Sigma = S + S it keeps one mask F of forbidden indices,
@@ -84,12 +86,7 @@ class _Indices:
         self.n = n
         self.full = (1 << n) - 1
         self.cyclic = group.rank == 1
-        if self.cyclic:
-            self.coords = [(i,) for i in range(n)]
-            self.neg = [-i % n for i in range(n)]
-        else:
-            self.coords = [group.coords_of(i) for i in range(n)]
-            self.neg = [group.index_of(group.neg_coords(c)) for c in self.coords]
+        self.neg = list(map(group.neg, range(n)))
         # moves[t]: (keep, up, down) per coordinate where t's digit k is
         # nonzero; keep marks the indices whose digit stays below the
         # modulus m after adding k, which move up by k weights, the
@@ -102,9 +99,10 @@ class _Indices:
                 w //= m
                 axes.append((w, m, [self.mask(lambda i: (i // w) % m < m - k, 0)
                                     for k in range(m)]))
-            for c in self.coords:
+            for t in range(n):
+                digits = group.coords_of(t)
                 self.moves.append([(keep[k], k * w, (m - k) * w)
-                                   for (w, m, keep), k in zip(axes, c) if k])
+                                   for (w, m, keep), k in zip(axes, digits) if k])
 
     def mask(self, pred, lo=1):
         """The mask of the indices i >= lo with pred(i)."""
@@ -130,7 +128,7 @@ class _Indices:
             if not seen[c]:
                 out |= 1 << c
                 for u in units:
-                    seen[g.index_of(g.smul_coords(u, self.coords[c]))] = 1
+                    seen[g.smul(u, c)] = 1
         return out
 
     def pusher(self):
@@ -142,8 +140,7 @@ class _Indices:
         n, g = self.n, self.group
         halves = [0] * n
         for c in range(n):
-            t = 2 * c % n if self.cyclic else g.index_of(g.smul_coords(2, self.coords[c]))
-            halves[t] |= 1 << c
+            halves[g.add(c, c)] |= 1 << c
         if self.cyclic:
             # indices x - s in (-n, n) and x + s in [0, 2n) read these
             # tables directly; F takes the rotations' overflow unmasked
@@ -303,9 +300,7 @@ def _canonical(ix, idxs):
 
 def canonical_form(group, S):
     """Lex-least index tuple among all translates of S and -S."""
-    return _canonical(
-        _Indices(group), sorted({group.index_of(group.element(s).coords) for s in S})
-    )
+    return _canonical(_Indices(group), sorted({group.element(s).index for s in S}))
 
 
 def enumerate_sidon(group, size=None, budget=5_000_000):
@@ -346,7 +341,7 @@ def affine_classes(group, canonicals):
     leaders = {}
     for cand in canonicals:
         if cand not in leader_of:
-            coords = [ix.coords[i] for i in cand]
+            coords = [group.coords_of(i) for i in cand]
             orbit = {
                 _canonical(ix, [group.index_of(endo_apply(group, a, c)) for c in coords])
                 for a in auts
@@ -364,7 +359,7 @@ def extend_sidon(group, S, target, budget=5_000_000):
     a smaller set with complete=True when no completion exists.
     """
     ix = _Indices(group)
-    idxs = sorted({group.index_of(group.element(s).coords) for s in S})
+    idxs = sorted({group.element(s).index for s in S})
     rep = is_sidon(group, [group.coords_of(i) for i in idxs])
     if not rep.sidon:
         raise SearchError(f"starting set is not Sidon: {rep.witness}")
@@ -418,7 +413,7 @@ def test_T_subgroup(p, budget=5_000_000):
     for leader in sorted(affine_classes(group, cands)):
         elems = [group.coords_of(i) for i in leader]
         rep = is_sidon(group, elems)
-        t_idx = sorted(group.index_of(t.coords) for t in rep.t_set)
+        t_idx = sorted(t.index for t in rep.t_set)
         cover = subgroup_union_cover(group, rep.t_set, k_max=max(1, len(rep.t_set)))
         holds = bool(cover)
         if not cover.conclusive:

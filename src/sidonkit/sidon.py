@@ -2,11 +2,13 @@
 
 A subset S of an abelian group is Sidon when x + y = z + w forces
 {x, y} = {z, w} as multisets; equivalently no nonzero difference repeats.
-Verification tallies the difference multiset in a dict keyed by the
-mixed-radix element encoding, so the verdict, witness and energy are exact
-and O(|S|^2) whatever the size of the group.  The T-set (everything S - S
-misses, plus 0) costs O(|G|) only when it is read, and its JSON text is
-written from cached block templates, O(|G|) bytes rather than objects.
+Verification differences the elements' mixed-radix indices with
+AbelianGroup.sub and tallies them in a dict, so the verdict, witness and
+energy are exact and O(|S|^2) whatever the size of the group.  The T-set
+(everything S - S misses, plus 0) costs O(|G|) only when it is read, and
+its JSON text is written from cached block templates, O(|G|) bytes rather
+than objects.  Subgroup covers of a T-set work on index sets from
+AbelianGroup.span.
 """
 
 from __future__ import annotations
@@ -16,9 +18,15 @@ import functools
 import itertools
 import math
 
-from .groups import GroupElement, GroupError, _generates, automorphisms, endo_apply
+from .groups import GroupElement, GroupError, automorphisms, endo_apply
 
 ORDER_CAP = 1 << 24
+
+# subgroup_union_cover: the most subgroups inside T it enumerates, and the
+# most k-subsets of maximal ones its exact search tries, before the answer
+# is reported inconclusive
+LATTICE_CAP = 4096
+COMBO_CAP = 200_000
 
 # fewest elements a T-set text template covers, unless the group is smaller
 _T_BLOCK = 1000
@@ -161,11 +169,9 @@ def _t_blocks(factors):
             base += count
 
 
-def _canonical_witness(x, y, z, w):
-    a = tuple(sorted((x, y)))
-    b = tuple(sorted((z, w)))
-    lo, hi = sorted((a, b), key=lambda pr: (pr[0].coords, pr[1].coords))
-    return lo + hi
+def _canonical_witness(group, x, y, z, w):
+    lo, hi = sorted((tuple(sorted((x, y))), tuple(sorted((z, w)))))
+    return tuple(GroupElement(group, group.coords_of(i)) for i in lo + hi)
 
 
 def is_sidon(group, S):
@@ -173,26 +179,27 @@ def is_sidon(group, S):
     n = group.order
     if n > ORDER_CAP:
         raise GroupError(f"group order {n} exceeds verification cap {ORDER_CAP}")
-    elems = sorted({group.element(s).coords for s in S})
-    elems = [GroupElement(group, c) for c in elems]
-    k = len(elems)
+    # index order is coordinate order, so the first repeat and its witness
+    # are those of the coordinate tuples
+    idxs = sorted({group.element(s).index for s in S})
+    sub = group.sub
     counts = {}
     first_pair = {}
     witness = None
-    for i in range(k):
-        ci = elems[i].coords
-        for j in range(k):
-            if i == j:
+    for a in idxs:
+        for b in idxs:
+            if a == b:
                 continue
-            d = group.index_of(group.sub_coords(ci, elems[j].coords))
+            d = sub(a, b)
             c = counts.get(d, 0) + 1
             counts[d] = c
             if c == 1:
-                first_pair[d] = (i, j)
+                first_pair[d] = (a, b)
             elif witness is None:
-                pi, pj = first_pair[d]
-                # s_pi - s_pj = s_i - s_j  =>  s_pi + s_j = s_i + s_pj
-                witness = _canonical_witness(elems[pi], elems[j], elems[i], elems[pj])
+                pa, pb = first_pair[d]
+                # pa - pb = a - b  =>  pa + b = a + pb
+                witness = _canonical_witness(group, pa, b, a, pb)
+    k = len(idxs)
     energy = k * k + sum(c * c for c in counts.values())
     return SidonReport(group, k, witness is None, witness, energy, counts.keys())
 
@@ -229,71 +236,54 @@ class CoverResult:
         }
 
 
-def _closure(group, gens_coords):
-    seen = set(gens_coords)
-    seen.add((0,) * group.rank)
-    frontier = list(seen)
-    gens = list(gens_coords) + [group.neg_coords(c) for c in gens_coords]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = group.add_coords(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
-
-
-def subgroup_union_cover(group, T, k_max, lattice_cap=4096, combo_cap=200_000):
+def subgroup_union_cover(group, T, k_max):
     """Try to write T as a union of at most k_max subgroups of the group.
 
     Every subgroup inside T is a join of cyclic subgroups <t>, t in T, so
     the sublattice {H <= G : H subset T} is enumerated by closing the good
     cyclic pieces under pairwise joins.  For |T| <= 64 the maximal members
     then feed an exact set-cover search; larger T gets the greedy pass
-    only, and a greedy miss is reported as inconclusive.
+    only, and a greedy miss is reported as inconclusive.  Candidates are
+    taken largest first, and among equal sizes by least sorted index
+    list, in both the greedy pass and the exact search.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    tcoords = {group.element(t).coords for t in T}
-    zero = (0,) * group.rank
-    if zero not in tcoords:
+    tset = frozenset(group.element(t).index for t in T)
+    if 0 not in tset:
         raise GroupError("a T-set always contains 0")
 
-    cyclic = {}
-    for t in tcoords:
-        H = _closure(group, [t])
-        if H <= tcoords:
-            cyclic[t] = H
+    seeds = set()
+    for t in tset:
+        H = group.span([t])
+        if H <= tset:
+            seeds.add(H)
     # an element of any subgroup inside T generates a cyclic subgroup inside T
-    coverable = set().union(*cyclic.values()) if cyclic else set()
-    if coverable != tcoords:
+    if set().union(*seeds) != tset:
         return CoverResult(None, True)
 
-    seeds = {H for H in cyclic.values()}
-    exhaustive = len(tcoords) <= 64
+    subgroups = seeds
+    exhaustive = len(tset) <= 64
     if exhaustive:
         lattice = set(seeds)
         frontier = list(seeds)
-        while frontier and len(lattice) <= lattice_cap:
+        while frontier and len(lattice) <= LATTICE_CAP:
             H = frontier.pop()
             for C in seeds:
                 if C <= H:
                     continue
-                J = _closure(group, H | C)
-                if J <= tcoords and J not in lattice:
+                J = group.span(H | C)
+                if J <= tset and J not in lattice:
                     lattice.add(J)
                     frontier.append(J)
-        if len(lattice) > lattice_cap:
+        if len(lattice) > LATTICE_CAP:
             exhaustive = False
         else:
-            subgroups = [H for H in lattice
-                         if not any(H < K for K in lattice if K is not H)]
-    if not exhaustive:
-        subgroups = sorted(seeds, key=len, reverse=True)
+            subgroups = [H for H in lattice if not any(H < K for K in lattice)]
+    subgroups = sorted(subgroups, key=lambda H: (-len(H), sorted(H)))
 
     def as_elements(H):
-        return [GroupElement(group, c) for c in sorted(H)]
+        return [GroupElement(group, group.coords_of(i)) for i in sorted(H)]
 
     # greedy
     chosen, covered = [], set()
@@ -303,22 +293,17 @@ def subgroup_union_cover(group, T, k_max, lattice_cap=4096, combo_cap=200_000):
             break
         chosen.append(best)
         covered |= best
-        if covered == tcoords:
+        if covered == tset:
             return CoverResult([as_elements(H) for H in chosen], True)
     if not exhaustive:
         return CoverResult(None, False)
 
     # exact search over maximal subgroups
-    maxima = sorted(subgroups, key=len, reverse=True)
-    for k in range(1, min(k_max, len(maxima)) + 1):
-        n_combos = math.comb(len(maxima), k)
-        if n_combos > combo_cap:
+    for k in range(1, min(k_max, len(subgroups)) + 1):
+        if math.comb(len(subgroups), k) > COMBO_CAP:
             return CoverResult(None, False)
-        for combo in itertools.combinations(maxima, k):
-            u = set()
-            for H in combo:
-                u |= H
-            if u == tcoords:
+        for combo in itertools.combinations(subgroups, k):
+            if frozenset().union(*combo) == tset:
                 return CoverResult([as_elements(H) for H in combo], True)
     return CoverResult(None, True)
 
@@ -446,7 +431,7 @@ def affine_equivalent(group, S1, S2):
         c = group.sub_coords(s2, endo_apply(group, phi, s1))
         if {group.add_coords(endo_apply(group, phi, x), c) for x in set1} != set2:
             return None
-        if not _generates(group, phi):
+        if len(group.span([group.index_of(img) for img in phi])) != group.order:
             return None
         return AffineResult(phi, GroupElement(group, c), tried, False)
 

@@ -24,6 +24,39 @@ def cyclic(n):
     return AbelianGroup((n,))
 
 
+def brute_span(group, gens):
+    """Reference subgroup closure on coordinate tuples: the generators and
+    their negatives are added to every member found until nothing is new.
+    Takes and returns indices."""
+    zero = (0,) * group.rank
+    seen = {zero}
+    frontier = [zero]
+    gcoords = [group.coords_of(g) for g in gens]
+    gcoords += [group.neg_coords(c) for c in gcoords]
+    while frontier:
+        cur = frontier.pop()
+        for g in gcoords:
+            nxt = group.add_coords(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(map(group.index_of, seen))
+
+
+@st.composite
+def small_group(draw, max_order=2000):
+    """An invariant-factor group of rank 0-3 and order at most max_order,
+    the trivial group included."""
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        prev, lo = (factors[-1], 1) if factors else (1, 2)
+        top = min(max_order // (math.prod(factors) * prev), 12 if factors else 30)
+        if top < lo:
+            break
+        factors.append(prev * draw(st.integers(lo, top)))
+    return AbelianGroup(factors)
+
+
 def brute_sidon_sets(group):
     """Every Sidon set that contains 0, as a sorted index tuple: each is
     grown one larger index at a time and kept while all its pair sums

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import pathlib
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -107,6 +108,14 @@ def test_develop(capsys):
     assert j["n_points"] == 7 and j["n_lines"] == 7
     assert j["projective_plane"]["order"] == 2
     assert j["self_dual_via_negation"] is True
+
+
+def test_develop_fails_fast(capsys):
+    t0 = time.perf_counter()
+    code, j = run_json(capsys, "develop", "--group", "16777216", "--set", "0,1")
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 2
+    assert list(j) == ["error"] and "exceeds the cap" in j["error"]
 
 
 def test_planes_list_show_orbits(capsys):

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_order, naive_presentation
+from conftest import brute_span, naive_order, naive_presentation, small_group
 from sidonkit.groups import (
     AbelianGroup,
     GroupError,
@@ -12,7 +14,6 @@ from sidonkit.groups import (
     automorphism_perm,
     automorphisms,
     invariant_factor_form,
-    subgroup_generated,
 )
 from sidonkit.quadforms import principal_form, reduced_forms
 
@@ -96,13 +97,48 @@ def test_invariant_factor_anchor():
     assert convert((1, 2)).coords == (5,)
 
 
+def _check_index_arithmetic(G, a, b, k):
+    ca, cb = G.coords_of(a), G.coords_of(b)
+    assert G.add(a, b) == G.index_of(G.add_coords(ca, cb))
+    assert G.sub(a, b) == G.index_of(G.sub_coords(ca, cb))
+    assert G.neg(a) == G.index_of(G.neg_coords(ca))
+    assert G.smul(k, a) == G.index_of(G.smul_coords(k, ca))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_index_arithmetic_matches_coordinates(data):
+    G = data.draw(small_group())
+    index = st.integers(0, G.order - 1)
+    _check_index_arithmetic(G, data.draw(index), data.draw(index),
+                            data.draw(st.integers(-3 * G.exponent, 3 * G.exponent)))
+
+
+@pytest.mark.parametrize("factors", [(), (7,), (2, 2), (2, 4), (3, 6), (2, 2, 2), (2, 2, 4)])
+def test_index_arithmetic_on_every_pair(factors):
+    # every digit sum that reaches its modulus exactly is among these pairs
+    G = AbelianGroup(factors)
+    for a in range(G.order):
+        for b in range(G.order):
+            _check_index_arithmetic(G, a, b, b - a)
+
+
 def test_subgroup_generated():
     G = AbelianGroup((8,))
-    sub = subgroup_generated(G, [(2,)])
-    assert [g.coords for g in sub] == [(0,), (2,), (4,), (6,)]
+    assert sorted(G.span([2])) == [0, 2, 4, 6]
+    assert G.span([]) == G.span([0]) == {0}
     H = AbelianGroup((2, 4))
-    assert len(subgroup_generated(H, [(1, 2)])) == 2
-    assert len(subgroup_generated(H, [(0, 1), (1, 0)])) == 8
+    assert len(H.span([H.index_of((1, 2))])) == 2
+    assert H.span([H.index_of((0, 1)), H.index_of((1, 0))]) == set(range(8))
+    assert AbelianGroup(()).span([0]) == {0}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_span_matches_tuple_closure(data):
+    G = data.draw(small_group(max_order=400))
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    assert G.span(gens) == brute_span(G, gens)
 
 
 @pytest.mark.parametrize("factors,count", [
@@ -112,6 +148,10 @@ def test_subgroup_generated():
     ((3, 3), 48),       # GL(2, 3)
     ((8,), 4),
     ((2, 4), 8),
+    ((2, 2, 2), 168),   # GL(3, 2)
+    ((5, 5), 480),      # GL(2, 5)
+    ((3, 9), 108),
+    ((7, 7), 2016),     # GL(2, 7)
 ])
 def test_automorphism_counts(factors, count):
     assert sum(1 for _ in automorphisms(AbelianGroup(factors))) == count

@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import cyclic, els
-from sidonkit.groups import AbelianGroup
+from sidonkit import incidence
+from sidonkit.groups import AbelianGroup, GroupError
 from sidonkit.incidence import (
     IncidenceStructure,
     deficiency,
@@ -71,6 +72,14 @@ def test_self_dual_via_negation():
     H = AbelianGroup((3, 3))
     S = [H.element(c) for c in [(0, 0), (1, 1), (2, 1)]]
     assert self_dual_via_negation(H, S)
+
+
+def test_develop_refuses_above_the_cap(monkeypatch):
+    G = cyclic(7)
+    monkeypatch.setattr(incidence, "DEVELOP_CAP", 14)
+    assert develop(G, els(G, 0, 1, 1)).n_points == 7   # 7 x 2 incidences
+    with pytest.raises(GroupError, match="cap of 14"):
+        develop(G, els(G, 0, 1, 3))
 
 
 def test_pls_violation_witness():

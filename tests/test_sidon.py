@@ -2,6 +2,7 @@ import functools
 import io
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
@@ -231,6 +232,27 @@ def test_subgroup_union_cover_conclusive_no():
     G = cyclic(4)
     res = subgroup_union_cover(G, els(G, 0, 1), k_max=2)
     assert not res and res.conclusive
+
+
+COVER_PINS = json.loads((pathlib.Path(__file__).parent / "cover_golden.json").read_text())
+
+
+@pytest.mark.parametrize("factors", sorted({tuple(c["group"]) for c in COVER_PINS}))
+def test_subgroup_union_cover_golden(factors):
+    """A seeded sample of 1 400 covers: T a union of one to four random
+    subgroups, in a quarter of the cases with one random element added
+    and in a tenth with one nonzero element dropped, and k_max in 1-5.
+    Counts and conclusive flags were recorded before the cover search
+    ran on indices; the chosen subgroups pin its tie-break (largest
+    first, then least sorted index list)."""
+    G = AbelianGroup(factors)
+    for case in (c for c in COVER_PINS if tuple(c["group"]) == factors):
+        res = subgroup_union_cover(G, [G.element(G.coords_of(t)) for t in case["t"]],
+                                   k_max=case["k_max"])
+        assert res.conclusive == case["conclusive"], case
+        assert (None if res.cover is None else len(res.cover)) == case["n"], case
+        got = None if res.cover is None else [[h.index for h in H] for H in res.cover]
+        assert got == case["cover"], case
 
 
 def test_subgroup_union_cover_requires_zero():
