@@ -14,8 +14,6 @@ import json
 import logging
 import sys
 
-import sympy
-
 from .dense import (
     DENSE_NAMES,
     ConstructionError,
@@ -28,7 +26,8 @@ from .dense import (
 )
 from .fields import FieldError, field_create
 from .groups import AbelianGroup, GroupError
-from .incidence import develop, is_partial_linear_space, is_projective_plane, self_dual_via_negation
+from .incidence import develop, is_partial_linear_space, is_projective_plane, negation_is_duality
+from .ntheory import prime_power
 from .pell import PellError
 from .planes3 import (
     FAMILY_TAGS,
@@ -89,11 +88,10 @@ def _emit(payload):
 
 
 def _field(q):
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
+    pd = prime_power(q)
+    if pd is None:
         raise FieldError(f"{q} is not a prime power")
-    [(p, d)] = fac.items()
-    return field_create(p, d)
+    return field_create(*pd)
 
 
 def _parse_group(text):
@@ -183,7 +181,7 @@ def cmd_develop(args):
         "n_lines": inc.n_lines,
         "partial_linear_space": pls.to_json(),
         "projective_plane": plane.to_json(),
-        "self_dual_via_negation": self_dual_via_negation(group, S),
+        "self_dual_via_negation": negation_is_duality(group, inc),
     }
     _emit(payload)
     return EXIT_OK

@@ -20,7 +20,7 @@ import logging
 import math
 import time
 
-from .fields import FieldError, FieldExtension
+from .fields import FieldError, field_extension
 from .groups import AbelianGroup, invariant_factor_form
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,7 @@ def _singer(F):
     k < n suffices: g^n generates K^x and the trace is K-linear, so
     Tr(g^(k+n)) = g^n Tr(g^k) vanishes exactly when Tr(g^k) does.
     """
-    L = FieldExtension(F, 3)
+    L = field_extension(F, 3)
     n = F.q ** 2 + F.q + 1
     group = AbelianGroup.cyclic(n)
     S = set()
@@ -59,7 +59,7 @@ def _singer(F):
 
 
 def _bose(F):
-    L = FieldExtension(F, 2)
+    L = field_extension(F, 2)
     group = AbelianGroup.cyclic(F.q ** 2 - 1)
     theta = L.encode([0, 1])
     S = {group.element(L.dlog(L.add(theta, c))) for c in range(F.q)}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 
-import sympy
+from .ntheory import factorint, isprime
 
 TABLE_LIMIT = 1 << 16       # exp/log tables up to this field size
 ADD_TABLE_LIMIT = 1 << 10   # full addition and negation tables for very small fields
@@ -95,8 +95,8 @@ def poly_is_irreducible(f, p):
         g[1] = (g[1] - 1) % p
         return _trim(g)
 
-    for r in sorted(sympy.factorint(d)):
-        g = minus_x(poly_powmod(x, p ** (d // int(r)), f, p))
+    for r in factorint(d):
+        g = minus_x(poly_powmod(x, p ** (d // r), f, p))
         if len(poly_gcd(g, f, p)) != 1:
             return False
     # reduce once more: for d = 1 the subtracted x is not below deg f
@@ -222,7 +222,7 @@ class FiniteField:
 
     def __init__(self, p, d=1, modulus=None, order_cap=DEFAULT_ORDER_CAP):
         p, d = int(p), int(d)
-        if p < 2 or not sympy.isprime(p):
+        if p < 2 or not isprime(p):
             raise FieldError(f"characteristic {p} is not prime")
         if d < 1:
             raise FieldError("extension degree must be >= 1")
@@ -253,7 +253,7 @@ class FiniteField:
         self._digits = None
         if q <= TABLE_LIMIT:
             self._digits = [self._decode(c) for c in range(q)]
-        self._factors_qm1 = sorted(int(r) for r in sympy.factorint(q - 1)) if q > 2 else []
+        self._factors_qm1 = list(factorint(q - 1)) if q > 2 else []
         self._exp = self._log = None
         self.generator = self._find_generator()
         if q <= TABLE_LIMIT:
@@ -511,7 +511,7 @@ class FieldExtension:
         if self.order > DEFAULT_ORDER_CAP:
             raise FieldError(f"extension size {self.order} exceeds cap")
         self.modulus = self._canonical_modulus()
-        self._factors = sorted(int(r) for r in sympy.factorint(self.order - 1))
+        self._factors = list(factorint(self.order - 1))
         self.generator = self._find_generator()
         self._log = None
         self._basis_traces = tuple(self._frobenius_trace(self.encode([0] * i + [1]))
@@ -664,3 +664,10 @@ class FieldExtension:
 
     def __repr__(self):
         return f"GF({self.order})/GF({self.base.q})"
+
+
+@functools.cache
+def field_extension(base, degree):
+    """FieldExtension(base, degree), built once per field and degree, so
+    every caller shares its lazily built log table."""
+    return FieldExtension(base, degree)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-import sympy
+from .ntheory import factorint
 
 
 class GroupError(ValueError):
@@ -246,8 +246,8 @@ def invariant_factor_form(moduli):
     # per prime: list of (exponent, source position)
     per_prime = {}
     for pos, m in enumerate(moduli):
-        for p, e in sympy.factorint(m).items():
-            per_prime.setdefault(int(p), []).append((int(e), pos))
+        for p, e in factorint(m).items():
+            per_prime.setdefault(p, []).append((e, pos))
     slots = max((len(v) for v in per_prime.values()), default=0)
     # recipe[j] = list of (source position, prime power); slot order: last gets
     # each prime's largest exponent so the divisibility chain comes out right
@@ -330,7 +330,7 @@ def abelian_basis(elements, op, identity):
     if n == 1:
         return []
     pos = {g: i for i, g in enumerate(elems)}
-    primes = sympy.primefactors(n)
+    primes = list(factorint(n))
 
     def power(g, k):
         acc = identity

@@ -217,7 +217,13 @@ def dualize(L):
 
 def self_dual_via_negation(group, S):
     """Does x -> -x carry dev(S) onto its dual?  (It always should.)"""
-    inc = develop(group, S).incidences
+    return negation_is_duality(group, develop(group, S))
+
+
+def negation_is_duality(group, L):
+    """Does x -> -x carry the development L = dev(S) of some S in group
+    onto its dual?"""
+    inc = L.incidences
     neg = group.neg
     # (i, j) -> (-j, -i) is a bijection, so it maps inc onto itself as soon
     # as it maps inc into itself

@@ -23,7 +23,7 @@ import itertools
 import logging
 import random
 
-from .fields import ADD_TABLE_LIMIT, FieldExtension
+from .fields import ADD_TABLE_LIMIT, field_extension
 from .groups import invariant_factor_form
 from .incidence import IncidenceStructure
 
@@ -265,7 +265,7 @@ def _powers(M, n):
 
 
 def _family_i(F):
-    L = FieldExtension(F, 3)
+    L = field_extension(F, 3)
     n = F.q ** 2 + F.q + 1
     powers = _powers(Projectivity(F, L.mult_matrix(L.generator)), n)
     note = ("cyclic of order q^2+q+1: multiplication by a generator of the "
@@ -274,7 +274,7 @@ def _family_i(F):
 
 
 def _family_ii(F):
-    L = FieldExtension(F, 2)
+    L = field_extension(F, 2)
     n = F.q ** 2 - 1
     A = L.mult_matrix(L.generator)
     gen = Projectivity(F, ((A[0][0], A[0][1], 0), (A[1][0], A[1][1], 0), (0, 0, 1)))
@@ -373,7 +373,7 @@ def _family_viii(F):
 def _family_ix(F):
     if (F.q - 1) % 3:
         raise PlaneError("needs q = 1 mod 3")
-    L = FieldExtension(F, 3)
+    L = field_extension(F, 3)
     n = F.q ** 2 + F.q + 1
     lam = Projectivity(F, L.mult_matrix(L.pow(L.generator, n // 3)))
     frob = Projectivity(F, L.frobenius_matrix())

@@ -59,9 +59,8 @@ from __future__ import annotations
 
 import math
 
-import sympy
-
 from .groups import AbelianGroup, automorphisms, endo_apply
+from .ntheory import isprime
 from .sidon import counting_bound, is_perfect_difference_set, is_sidon, subgroup_union_cover
 
 TABLE_CAP = 512
@@ -404,7 +403,7 @@ def test_T_subgroup(p, budget=5_000_000):
     Census of size-p Sidon sets up to the full affine group (all group
     automorphisms and translations), then a cover search on each T-set.
     """
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise SearchError(f"{p} is not prime")
     group = AbelianGroup((p, p))
     cands = enumerate_sidon(group, size=p, budget=budget)
@@ -437,7 +436,7 @@ def test_extendable(p, budget=5_000_000):
     covers all p^2+p nonzero differences, so it is checked as a perfect
     difference set rather than merely a Sidon set.
     """
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise SearchError(f"{p} is not prime")
     n = p * p + p + 1
     group = AbelianGroup.cyclic(n)

@@ -19,11 +19,10 @@ import collections
 import math
 
 import mpmath
-import sympy
-from sympy.ntheory import discrete_log
 
 from .fields import FiniteField, field_create
 from .groups import AbelianGroup, invariant_factor_form
+from .ntheory import discrete_log, factorint, prime_power, primerange, primitive_root
 from .pell import CFData, PellError
 from .quadforms import ClassGroup, fundamental_discriminant, prime_form, splits
 from .sidon import is_sidon
@@ -136,9 +135,9 @@ class UnitGroup:
     Odd prime power factors are cyclic on their smallest primitive
     root; the 2-part of m contributes nothing for 2, the class of -1
     for 4, and <-1> x <3> for higher powers of two.  encode takes one
-    discrete log per prime-power part when it is asked
-    (sympy.ntheory.discrete_log, Pohlig-Hellman over the factored
-    order), so no table of the units is built.
+    discrete log per prime-power part when it is asked (Pohlig-Hellman
+    over the order of the part's log base, factored once here), so no
+    table of the units is built.
     """
 
     def __init__(self, m):
@@ -147,7 +146,8 @@ class UnitGroup:
         self.m = m
         moduli = []
         self.generators = {}  # p^e -> generators of its cyclic factors
-        for p, e in sorted(sympy.factorint(m).items()):
+        self._orders = {}  # p^e -> (order of its log base, factorint of it)
+        for p, e in factorint(m).items():
             pe = p**e
             if p == 2:
                 if e == 1:
@@ -155,12 +155,16 @@ class UnitGroup:
                 if e == 2:
                     moduli.append(2)
                     self.generators[4] = [3]
+                    self._orders[4] = (2, {2: 1})
                     continue
                 moduli.extend([2, pe >> 2])
                 self.generators[pe] = [pe - 1, 3]
+                self._orders[pe] = (pe >> 2, {2: e - 2})
                 continue
-            moduli.append(pe - pe // p)
-            self.generators[pe] = [sympy.primitive_root(pe)]
+            order = pe - pe // p
+            moduli.append(order)
+            self.generators[pe] = [primitive_root(pe)]
+            self._orders[pe] = (order, factorint(order))
         self.group, self._convert = invariant_factor_form(tuple(moduli))
         self.order = self.group.order
 
@@ -169,13 +173,15 @@ class UnitGroup:
             raise SparseError(f"{u} is not a unit mod {self.m}")
         coords = []
         for pe, gens in self.generators.items():
+            order, factors = self._orders[pe]
             r = u % pe
             if len(gens) == 2:
                 # <3> mod 2^e holds the residues 1 and 3 mod 8, -<3> the rest
                 neg = r % 8 not in (1, 3)
-                coords.extend([int(neg), discrete_log(pe, pe - r if neg else r, 3)])
+                r = pe - r if neg else r
+                coords.extend([int(neg), discrete_log(pe, r, 3, order, factors)])
             else:
-                coords.append(discrete_log(pe, r, gens[0]))
+                coords.append(discrete_log(pe, r, gens[0], order, factors))
         return self._convert(tuple(coords))
 
 
@@ -382,11 +388,10 @@ def cubic_graph(q, subset=None):
 
 
 def _pd(q):
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
+    pd = prime_power(q)
+    if pd is None:
         raise SparseError(f"{q} is not a prime power")
-    [(p, d)] = fac.items()
-    return p, d
+    return pd
 
 
 # ------------------------------------------------------------ perturbing
@@ -513,7 +518,7 @@ _Embedding = collections.namedtuple(
 def _squarefree_D(D, least):
     if D < least:
         raise SparseError(f"need D >= {least}, got {D}")
-    if any(e > 1 for e in sympy.factorint(D).values()):
+    if any(e > 1 for e in factorint(D).values()):
         raise SparseError(f"{D} is not squarefree")
 
 
@@ -526,7 +531,7 @@ def _fw_rationals(spec):
         scale = 3 * X * X
     primes = [
         p
-        for p in sympy.primerange(2, X + 1)
+        for p in primerange(2, X + 1)
         if all(math.gcd(p, m) == 1 for m in spec.mods)
     ]
     units = [UnitGroup(m) for m in spec.mods]
@@ -572,7 +577,7 @@ def _fw_gaussian(spec):
         raise SparseError(f"need n >= 16, got {n}")
     primes = [
         p
-        for p in sympy.primerange(5, math.isqrt(n) // 4 + 1)
+        for p in primerange(5, math.isqrt(n) // 4 + 1)
         if p % 4 == 1 and 16 * p * p <= n
     ]
     coords = {}
@@ -606,7 +611,7 @@ def _fw_imaginary(spec):
     primes = []
     coords = {}
     skipped = {}
-    for p in sympy.primerange(2, max(2, math.isqrt(math.isqrt(D)) // 2 + 2)):
+    for p in primerange(2, max(2, math.isqrt(math.isqrt(D)) // 2 + 2)):
         if (2 * p) ** 4 >= D:
             break
         if not splits(disc, p):
@@ -644,7 +649,7 @@ def _fw_real(spec):
     reps = {}
     skipped = {}
     margin = 1.0
-    for p in sympy.primerange(2, max(2, math.isqrt(math.isqrt(D)) // 10 + 2)):
+    for p in primerange(2, max(2, math.isqrt(math.isqrt(D)) // 10 + 2)):
         if (10 * p) ** 4 > D:
             break
         if not splits(4 * D, p):
