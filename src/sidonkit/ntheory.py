@@ -11,6 +11,7 @@ exact below 2^64 (Feitsma-Galway tables of base-2 pseudoprimes).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -273,13 +274,7 @@ def _log_prime_order(n, t, gamma, q):
                 return d
             y = y * gamma % n
         raise ValueError(f"{t} is not a power of {gamma} mod {n}")
-    m = math.isqrt(q - 1) + 1
-    baby = {}  # gamma^j -> j; distinct, as m <= q
-    y = 1
-    for j in range(m):
-        baby[y] = j
-        y = y * gamma % n
-    giant = pow(gamma, -m, n)
+    m, baby, giant = _baby_steps(n, gamma, q)
     y = t
     for i in range(m):
         j = baby.get(y)
@@ -287,3 +282,17 @@ def _log_prime_order(n, t, gamma, q):
             return i * m + j
         y = y * giant % n
     raise ValueError(f"{t} is not a power of {gamma} mod {n}")
+
+
+@functools.lru_cache(maxsize=16)
+def _baby_steps(n, gamma, q):
+    """(m, {gamma^j mod n: j for j < m}, gamma^-m mod n), m = ceil(sqrt(q)):
+    the baby-step table of gamma, of prime order q, kept across the
+    discrete logs of one unit group.  Callers only read the dict."""
+    m = math.isqrt(q - 1) + 1
+    baby = {}  # distinct, as m <= q
+    y = 1
+    for j in range(m):
+        baby[y] = j
+        y = y * gamma % n
+    return m, baby, pow(gamma, -m, n)

@@ -47,12 +47,28 @@ least nonzero index, is restricted further:
 
 max_sidon also prunes by look-ahead: every set below a node uses only
 the node's available indices, so a node with |S| + popcount(cand & ~F)
-<= the best size so far has nothing better below it.  Enumeration must
-visit every set, and extension walks its tree unpruned as well.
+<= the best size so far has nothing better below it.  Most nodes of a
+sigma(n) proof are leaves cut this way, so the test is first made in the
+parent, before the child S' = S u {x} is pushed, on the partial mask
+
+    P = (x + D)  u  (Sigma - x)
+
+of the parent's D and Sigma: two translates, and no pass over S.  P
+lies in F' (push formula above), so |S'| + popcount(cand' & ~P) <= the
+floor implies the full test prunes S' too.  A child P rejects is counted
+as a node but neither visited nor pushed; any other child is visited,
+pushed and tested in full as before.  The walk thus goes through the
+same tree, with the same node counts and budget exhaustion points, as
+one that pushes every child first.  Enumeration must visit every set,
+and extension walks its tree unpruned as well.
 
 max_sidon, enumerate_sidon and extend_sidon all run _dfs, which calls a
-visit(stack) hook at every node before computing the node's masks:
-True stops the walk, False skips the children, None descends.
+visit(stack) hook at every node it walks, the root included, before
+computing the node's masks: True stops the walk, False skips the
+children, None descends.  A child rejected in its parent never reaches
+the hook, so a hook used with a floor must do nothing at nodes of size
+<= the floor.  max_sidon's hook acts only on sets larger than the best
+so far, whose size is the floor.
 """
 
 from __future__ import annotations
@@ -75,7 +91,8 @@ class BudgetExceeded(SearchError):
 
 
 class _Indices:
-    """Index arithmetic of one group: negation, and translates of masks."""
+    """Index arithmetic of one group: negation, translates of masks, and
+    the walker's push and reach (see _walk_ops)."""
 
     def __init__(self, group):
         n = group.order
@@ -102,6 +119,11 @@ class _Indices:
                 digits = group.coords_of(t)
                 self.moves.append([(keep[k], k * w, (m - k) * w)
                                    for (w, m, keep), k in zip(axes, digits) if k])
+        # built here, not on first use: an attribute written later through
+        # __dict__ (as by functools.cached_property) makes CPython read
+        # every attribute of the object through its dict, which made
+        # _canonical about 40 % slower
+        self.push, self.reach, self.start = self._walk_ops()
 
     def mask(self, pred, lo=1):
         """The mask of the indices i >= lo with pred(i)."""
@@ -130,22 +152,30 @@ class _Indices:
                     seen[g.smul(u, c)] = 1
         return out
 
-    def pusher(self):
-        """(push, start): push(state, stack) is the walk state of stack
-        from that of stack[:-1], and start the state of the empty stack.
-        A state is (F, D, Sigma) of the module docstring, for rank >= 2
-        followed by the masks of S and -S.  F may carry bits at n and
-        above; the other masks may not."""
+    def _walk_ops(self):
+        """(push, reach, start): push(state, stack) is the walk state of
+        stack from that of stack[:-1], reach(D, Sigma, x) the mask
+        (x + D) u (Sigma - x), and start the state of the empty stack.  A
+        state is (F, D, Sigma) of the module docstring, for rank >= 2
+        followed by the masks of S and -S.  For Z/n, D and Sigma are held
+        doubled, M | M << n, so that each rotation in reach is one shift.
+        F and reach's mask may carry bits at n and above."""
         n, g = self.n, self.group
         halves = [0] * n
         for c in range(n):
             halves[g.add(c, c)] |= 1 << c
         if self.cyclic:
             # indices x - s in (-n, n) and x + s in [0, 2n) read these
-            # tables directly; F takes the rotations' overflow unmasked
-            pm = [(1 << d) | (1 << (-d % n)) for d in range(n)]
-            sums = [1 << (t % n) for t in range(2 * n)]
+            # tables directly; pm and sums hold doubled masks, and F takes
+            # the rotations' overflow unmasked
+            double = 1 | 1 << n
+            pm = [((1 << d) | (1 << (-d % n))) * double for d in range(n)]
+            sums = [(1 << (t % n)) * double for t in range(2 * n)]
             halves += halves
+
+            def reach(D, Sigma, x):
+                # bits i < n: D's at i - x mod n, Sigma's at i + x mod n
+                return D >> (n - x) | Sigma >> x
 
             def push(state, stack):
                 F, D, Sigma = state
@@ -155,11 +185,14 @@ class _Indices:
                     t = x + s
                     Sigma |= sums[t]
                     F |= halves[t]
-                return F | D << x | D >> (n - x) | Sigma >> x | Sigma << (n - x), D, Sigma
+                return F | reach(D, Sigma, x), D, Sigma
 
-            return push, (0, 0, 0)
+            return push, reach, (0, 0, 0)
 
         shift, neg = self.shift, self.neg
+
+        def reach(D, Sigma, x):
+            return shift(D, x) | shift(Sigma, neg[x])
 
         def push(state, stack):
             F, D, Sigma, S, N = state
@@ -174,9 +207,9 @@ class _Indices:
                 low = sums & -sums
                 sums ^= low
                 F |= halves[low.bit_length() - 1]
-            return F | shift(D, x) | shift(Sigma, neg[x]), D, Sigma, S, N
+            return F | reach(D, Sigma, x), D, Sigma, S, N
 
-        return push, (0, 0, 0, 0, 0)
+        return push, reach, (0, 0, 0, 0, 0)
 
 
 class SearchResult:
@@ -206,42 +239,61 @@ def _dfs(ix, stack, roots, budget, label, visit, floor=(0,)):
     """Depth-first walk over the Sidon sets that extend stack, first by an
     index in the mask roots and then by increasing indices.
 
-    stack must be Sidon; visit follows the module docstring's hook
-    contract.  A node is pruned when its stack and available indices
-    together cannot exceed floor[0].  Returns the number of nodes visited.
+    stack must be Sidon.  visit(stack) is called at every node walked,
+    the root included, before the node's masks are computed: True stops
+    the walk, False skips the node's children, None descends.  A node is
+    pruned when its stack and available indices together cannot exceed
+    floor[0].  A child of size <= floor[0] that the partial mask of the
+    module docstring already prunes is counted but never visited, so a
+    hook used with a floor must do nothing at nodes of size <= floor[0].
+    Returns the number of nodes counted.
     """
-    push, state = ix.pusher()
+    push, reach, state = ix.push, ix.reach, ix.start
     for i in range(1, len(stack)):
         state = push(state, stack[:i])
-    nodes = 0
 
-    def walk(state, cand, first=-1):
-        # state belongs to stack[:-1]: a node the hook stops at costs no push
+    nodes = 1
+    if nodes > budget:
+        raise BudgetExceeded(f"{label} budget {budget} exhausted")
+    if visit(stack) is not None:
+        return nodes
+    if stack:
+        state = push(state, stack)
+    avail = ix.full & ~state[0]
+    if len(stack) + avail.bit_count() <= floor[0]:
+        return nodes
+
+    def walk(state, avail, kids):
+        # stack is a walked node: state holds its masks, avail its
+        # available indices, and kids the children to try
         nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"{label} budget {budget} exhausted")
-        verdict = visit(stack)
-        if verdict is not None:
-            return verdict
-        if stack:
-            state = push(state, stack)
-        avail = cand & ~state[0]
-        if len(stack) + avail.bit_count() <= floor[0]:
-            return False
-        kids = avail & first
+        k = len(stack) + 1
+        D, Sigma = state[1], state[2]
         while kids:
             low = kids & -kids
             kids ^= low
-            stack.append(low.bit_length() - 1)
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"{label} budget {budget} exhausted")
+            x = low.bit_length() - 1
             # the child's candidates: this node's, above the child
-            done = walk(state, avail & -(low << 1))
+            above = avail & -(low << 1)
+            # pruned on the partial mask, it is a leaf the hook ignores
+            if k <= floor[0] and k + (above & ~reach(D, Sigma, x)).bit_count() <= floor[0]:
+                continue
+            stack.append(x)
+            verdict = visit(stack)
+            if verdict is None:
+                child = push(state, stack)
+                sub = above & ~child[0]
+                if k + sub.bit_count() > floor[0]:
+                    verdict = walk(child, sub, sub)
             stack.pop()
-            if done:
+            if verdict:
                 return True
         return False
 
-    walk(state, ix.full, roots)
+    walk(state, avail, avail & roots)
     return nodes
 
 
@@ -364,6 +416,13 @@ def extend_sidon(group, S, target, budget=5_000_000):
         raise SearchError(f"starting set is not Sidon: {rep.witness}")
     if len(idxs) > target:
         raise SearchError("starting set is already larger than the target")
+    return SearchResult(group, *_extend(ix, idxs, target, budget), True)
+
+
+def _extend(ix, idxs, target, budget):
+    """(found, nodes): a Sidon set of target indices that contains the
+    Sidon index tuple idxs, or idxs itself when there is none, and the
+    nodes walked to decide it."""
     found = tuple(idxs)
 
     def visit(stack):
@@ -373,9 +432,9 @@ def extend_sidon(group, S, target, budget=5_000_000):
             return True
         return None
 
-    # S need not contain 0, so no symmetry reduction applies
-    nodes = _dfs(ix, idxs, ix.full, budget, "extension", visit)
-    return SearchResult(group, found, nodes, True)
+    # idxs need not contain 0, so no symmetry reduction applies
+    nodes = _dfs(ix, list(idxs), ix.full, budget, "extension", visit)
+    return found, nodes
 
 
 class TesterReport:
@@ -440,18 +499,17 @@ def test_extendable(p, budget=5_000_000):
         raise SearchError(f"{p} is not prime")
     n = p * p + p + 1
     group = AbelianGroup.cyclic(n)
+    ix = _Indices(group)
     target = p + 1
     classes = []
     ok = True
     for cand in enumerate_sidon(group, budget=budget):
-        res = extend_sidon(group, [group.coords_of(i) for i in cand], target, budget)
-        extends = res.size == target
+        found, _ = _extend(ix, cand, target, budget)
+        extends = len(found) == target
         record = {"set": list(cand), "extends": extends}
         if extends:
-            perfect = is_perfect_difference_set(
-                group, [group.coords_of(i) for i in res.indices]
-            )
-            record["completion"] = list(res.indices)
+            perfect = is_perfect_difference_set(group, [group.coords_of(i) for i in found])
+            record["completion"] = list(found)
             record["perfect"] = perfect
             extends = extends and perfect
         ok = ok and extends

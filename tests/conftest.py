@@ -5,6 +5,7 @@ import sympy
 from hypothesis import strategies as st
 
 from sidonkit.groups import AbelianGroup
+from sidonkit.search import BudgetExceeded
 
 
 def els(group, *codes):
@@ -106,6 +107,46 @@ def block_edge_instance(draw, max_order=5000):
     group = AbelianGroup(factors)
     S = draw(st.lists(st.tuples(*edges), min_size=1, max_size=8))
     return group, [group.element(c) for c in S]
+
+
+def reference_dfs(ix, stack, roots, budget, label, visit, floor=(0,)):
+    """Reference walker, a drop-in for sidonkit.search._dfs: every child
+    is counted, visited and pushed, and only then tested against the
+    floor on its full mask of forbidden indices.  The fast walker must
+    walk the same tree: same nodes, same budget exhaustion points."""
+    push, state = ix.push, ix.start
+    for i in range(1, len(stack)):
+        state = push(state, stack[:i])
+    nodes = 0
+
+    def walk(state, cand, first=-1):
+        # state belongs to stack[:-1]: a node the hook stops at costs no push
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"{label} budget {budget} exhausted")
+        verdict = visit(stack)
+        if verdict is not None:
+            return verdict
+        if stack:
+            state = push(state, stack)
+        avail = cand & ~state[0]
+        if len(stack) + avail.bit_count() <= floor[0]:
+            return False
+        kids = avail & first
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            stack.append(low.bit_length() - 1)
+            # the child's candidates: this node's, above the child
+            done = walk(state, avail & -(low << 1))
+            stack.pop()
+            if done:
+                return True
+        return False
+
+    walk(state, ix.full, roots)
+    return nodes
 
 
 def brute_max(group):

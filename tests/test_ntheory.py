@@ -140,6 +140,20 @@ def test_unit_group_encode_matches_table_oracle(m, rnd):
         assert units.encode(u) == units._convert(oracle(u)), (m, u)
 
 
+def test_unit_group_encode_keeps_baby_step_tables():
+    """(Z/1000003)^* has order 2 * 3 * 166667: each encode takes one
+    baby-step giant-step log, all on one table of 409 baby steps, and
+    gives what it gives on a table built afresh."""
+    units = UnitGroup(1000003)
+    ntheory._baby_steps.cache_clear()
+    warm = [units.encode(u) for u in (2, 3, 5)]
+    info = ntheory._baby_steps.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for u, want in zip((2, 3, 5), warm):
+        ntheory._baby_steps.cache_clear()
+        assert units.encode(u) == want, u
+
+
 def test_package_never_imports_sympy():
     """Importing the package and running a sparse CLI query leaves sympy
     unimported: its import alone costs about 0.3 s."""

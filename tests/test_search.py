@@ -2,11 +2,13 @@ import json
 import math
 import pathlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sidonkit import search
 from sidonkit.groups import AbelianGroup
 from sidonkit.search import (
     BudgetExceeded,
@@ -31,6 +33,7 @@ from conftest import (
     brute_sidon,
     brute_sidon_sets,
     cyclic,
+    reference_dfs,
 )
 
 
@@ -301,6 +304,31 @@ def test_extend_matches_oracle(factors, data):
     assert res.complete
     assert (res.size == target) == brute_extends(g, start, target)
     assert set(start) <= set(res.indices) and brute_sidon(g, res.indices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(2, 64).map(lambda n: (n,)),
+                 st.sampled_from(RANK2 + [(3, 9), (5, 5), (7, 7)])),
+       st.one_of(st.none(), st.integers(1, 3000)))
+def test_max_sidon_walks_reference_tree(factors, budget):
+    """Rejecting floor-pruned children in the parent, before their push,
+    leaves the tree alone: same set, nodes and completeness as the
+    reference walker that pushes every child and tests it afterwards."""
+    g = AbelianGroup(factors)
+    kwargs = {} if budget is None else {"budget": budget}
+    got = _pin(max_sidon(g, **kwargs))
+    with mock.patch.object(search, "_dfs", reference_dfs):
+        want = _pin(max_sidon(g, **kwargs))
+    assert got == want
+
+
+@pytest.mark.parametrize("target, want", [(0, [[], 1, True]), (1, [[0], 2, True]),
+                                          (3, [[0, 1, 3], 4, True])])
+def test_extend_hook_sees_every_walked_node(target, want):
+    """The hook is called at every node walked, the root included: a
+    walker that skipped it at nodes no larger than the floor (0 here)
+    walked 43 nodes for target 0 instead of stopping at the empty root."""
+    assert _pin(extend_sidon(cyclic(7), [], target)) == want
 
 
 @pytest.mark.parametrize("n", range(2, 61))
