@@ -175,32 +175,29 @@ def _general_quad(L, cap=50):
 def is_projective_plane(L):
     """Exactly-one joining line, exactly-one meeting point, nondegeneracy;
     returns the order q with all count regularities cross-checked."""
-    n_p, n_l = L.n_points, L.n_lines
     # counting: with C4-freeness, pair coverage is exact iff the totals match
-    need_p = n_p * (n_p - 1) // 2
-    have_p = sum(len(pts) * (len(pts) - 1) // 2 for pts in L.line_points)
-    if have_p < need_p:
+    gaps = deficiency(L)
+    unjoined, nonmeeting = gaps["unjoined_point_pairs"], gaps["nonmeeting_line_pairs"]
+    if unjoined > 0:
         return PlaneCheck(None, "two points on no common line")
-    need_l = n_l * (n_l - 1) // 2
-    have_l = sum(len(ls) * (len(ls) - 1) // 2 for ls in L.point_lines)
-    if have_l < need_l:
+    if nonmeeting > 0:
         return PlaneCheck(None, "two lines with no common point")
     pls = is_partial_linear_space(L)
     if not pls:
         return PlaneCheck(None, "two points on two common lines")
-    if have_p > need_p:  # duplicate-free tally can only overshoot via a C4
+    if unjoined < 0:  # duplicate-free tally can only overshoot via a C4
         return PlaneCheck(None, "two points on two common lines")  # pragma: no cover
     dual_pls = is_partial_linear_space(dualize(L))
     if not dual_pls:
         return PlaneCheck(None, "two lines with two common points")
-    if have_l > need_l:
+    if nonmeeting < 0:
         return PlaneCheck(None, "two lines with two common points")  # pragma: no cover
     if _general_quad(L) is None:
         return PlaneCheck(None, "degenerate: no quadrilateral in general position")
     q = len(L.line_points[0]) - 1 if L.line_points else 0
     if q < 2:
         return PlaneCheck(None, "degenerate: order below 2")
-    if n_p != q * q + q + 1 or n_l != n_p:
+    if L.n_points != q * q + q + 1 or L.n_lines != L.n_points:
         return PlaneCheck(None, "point/line counts off q^2+q+1")
     if any(len(pts) != q + 1 for pts in L.line_points):
         return PlaneCheck(None, "line sizes unequal")

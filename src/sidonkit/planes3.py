@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-import random
 
 from .fields import ADD_TABLE_LIMIT, field_extension
 from .groups import invariant_factor_form
@@ -214,12 +213,12 @@ def _index_map(F, A, triples):
     return out
 
 
-def _images(perms, factors, i):
-    """images[index] = i moved by the element of that index, the element
-    with coordinates c acting as the product of perms[k]^c[k]: one
-    mixed-radix walk, first coordinate most significant."""
+def _images(perms, moduli, i):
+    """images[k] = i moved by the k-th coordinate vector c over the moduli
+    in itertools.product order, acting as the product of perms[j]^c[j]:
+    one mixed-radix walk, first coordinate most significant."""
     images = [i]
-    for P, n in zip(reversed(perms), reversed(factors)):
+    for P, n in zip(reversed(perms), reversed(moduli)):
         block = images
         for _ in range(n - 1):
             block = [P[x] for x in block]
@@ -255,95 +254,67 @@ def plane_build(field, cap=PLANE_CAP):
 
 
 # ---------------------------------------------------------------------------
-# the nine families: (moduli, build, note) per tag
+# the nine families: (moduli, generators, note) per tag, one generator
+# matrix per natural modulus
 
-def _powers(M, n):
-    out = [Projectivity.identity(M.field)]
-    for _ in range(n - 1):
-        out.append(out[-1] * M)
-    return out
+def _basis(F):
+    """K's additive basis over GF(p): the codes of the unit coefficient
+    vectors, in the order F.encode reads coordinates."""
+    return [F.encode([0] * i + [1]) for i in range(F.d)]
 
 
 def _family_i(F):
     L = field_extension(F, 3)
-    n = F.q ** 2 + F.q + 1
-    powers = _powers(Projectivity(F, L.mult_matrix(L.generator)), n)
     note = ("cyclic of order q^2+q+1: multiplication by a generator of the "
             "cubic extension, matrices in the basis {1,t,t^2}")
-    return (n,), (lambda nat: powers[nat[0]]), note
+    return (F.q ** 2 + F.q + 1,), [L.mult_matrix(L.generator)], note
 
 
 def _family_ii(F):
     L = field_extension(F, 2)
-    n = F.q ** 2 - 1
     A = L.mult_matrix(L.generator)
-    gen = Projectivity(F, ((A[0][0], A[0][1], 0), (A[1][0], A[1][1], 0), (0, 0, 1)))
-    powers = _powers(gen, n)
+    gen = ((A[0][0], A[0][1], 0), (A[1][0], A[1][1], 0), (0, 0, 1))
     note = ("cyclic of order q^2-1: multiplication by a generator of the "
             "quadratic extension on the first two coordinates")
-    return (n,), (lambda nat: powers[nat[0]]), note
+    return (F.q ** 2 - 1,), [gen], note
 
 
 def _family_iii(F):
     g = F.generator
-
-    def build(nat):
-        j, k = nat
-        return Projectivity(F, ((F.pow(g, j), 0, 0), (0, F.pow(g, k), 0), (0, 0, 1)))
-
-    return (F.q - 1, F.q - 1), build, "diagonal torus (Z/(q-1))^2: diag(a, b, 1)"
+    gens = [((g, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, g, 0), (0, 0, 1))]
+    return (F.q - 1, F.q - 1), gens, "diagonal torus (Z/(q-1))^2: diag(a, b, 1)"
 
 
 def _family_iv(F):
     g = F.generator
-    moduli = (F.q - 1,) + (F.p,) * F.d
-
-    def build(nat):
-        j, rest = nat[0], nat[1:]
-        r = F.pow(g, j)
-        a = F.mul(F.encode(rest), r)
-        return Projectivity(F, ((r, a, 0), (0, r, 0), (0, 0, 1)))
-
+    gens = [((g, 0, 0), (0, g, 0), (0, 0, 1))]
+    gens += [((1, t, 0), (0, 1, 0), (0, 0, 1)) for t in _basis(F)]
     note = ("Z/(q-1) x K: matrices [[r,a,0],[0,r,0],[0,0,1]]; the K-part "
             "is read off as a/r so the parametrization is additive")
-    return moduli, build, note
+    return (F.q - 1,) + (F.p,) * F.d, gens, note
 
 
 def _family_v(F):
     if F.p != 2:
         half = F.inv(2 % F.p)
-
-        def build(nat):
-            x = F.encode(nat[:F.d])
-            y = F.encode(nat[F.d:])
-            # shear so that (x, y) -> matrix is a homomorphism from K^2
-            corr = F.mul(half, F.mul(x, F.sub(x, 1)))
-            return Projectivity(F, ((1, x, F.add(y, corr)), (0, 1, x), (0, 0, 1)))
-
+        # x -> [[1,x,x(x-1)/2],[0,1,x],[0,0,1]] and y -> [[1,0,y],[0,1,0],
+        # [0,0,1]]: the shift of the corner by x(x-1)/2 straightens the law
+        gens = [((1, x, F.mul(half, F.mul(x, F.sub(x, 1)))), (0, 1, x), (0, 0, 1))
+                for x in _basis(F)]
+        gens += [((1, 0, y), (0, 1, 0), (0, 0, 1)) for y in _basis(F)]
         note = ("K^2 (q odd): unipotent matrices [[1,a,b],[0,1,a],[0,0,1]] "
                 "with b shifted by a(a-1)/2 to straighten the group law")
-        return (F.p,) * (2 * F.d), build, note
-
-    basis = (F.encode([0] * i + [1]) for i in range(F.d))
-    pows = [_powers(Projectivity(F, ((1, a, 0), (0, 1, a), (0, 0, 1))), 4) for a in basis]
-
-    def build(nat):
-        out = Projectivity.identity(F)
-        for i, k in enumerate(nat):
-            if k:
-                out = out * pows[i][k]
-        return out
-
+        return (F.p,) * (2 * F.d), gens, note
+    gens = [((1, a, 0), (0, 1, a), (0, 0, 1)) for a in _basis(F)]
     note = "C4^d (q = 2^d): generated by [[1,a,0],[0,1,a],[0,0,1]] over a basis"
-    return (4,) * F.d, build, note
+    return (4,) * F.d, gens, note
 
 
 def _translations(shape, note):
     def family(F):
-        def build(nat):
-            return Projectivity(F, shape(F.encode(nat[:F.d]), F.encode(nat[F.d:])))
-
-        return (F.p,) * (2 * F.d), build, note
+        gens = ([shape(a, 0) for a in _basis(F)]
+                + [shape(0, b) for b in _basis(F)])
+        return (F.p,) * (2 * F.d), gens, note
 
     return family
 
@@ -358,16 +329,11 @@ def _family_viii(F):
     if (F.q - 1) % 3:
         raise PlaneError("needs q = 1 mod 3 for a cube root of unity")
     w = F.exp((F.q - 1) // 3)
-    D = Projectivity(F, ((1, 0, 0), (0, w, 0), (0, 0, F.mul(w, w))))
-    P = Projectivity(F, ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
-    Dp, Pp = _powers(D, 3), _powers(P, 3)
-
-    def build(nat):
-        return Dp[nat[0]] * Pp[nat[1]]
-
+    gens = [((1, 0, 0), (0, w, 0), (0, 0, F.mul(w, w))),
+            ((0, 0, 1), (1, 0, 0), (0, 1, 0))]
     note = ("C3 x C3: diag(1, w, w^2) and the coordinate 3-cycle, a pair "
             "commuting modulo scalars")
-    return (3, 3), build, note
+    return (3, 3), gens, note
 
 
 def _family_ix(F):
@@ -375,16 +341,10 @@ def _family_ix(F):
         raise PlaneError("needs q = 1 mod 3")
     L = field_extension(F, 3)
     n = F.q ** 2 + F.q + 1
-    lam = Projectivity(F, L.mult_matrix(L.pow(L.generator, n // 3)))
-    frob = Projectivity(F, L.frobenius_matrix())
-    Lp, Fp = _powers(lam, 3), _powers(frob, 3)
-
-    def build(nat):
-        return Lp[nat[0]] * Fp[nat[1]]
-
+    gens = [L.mult_matrix(L.pow(L.generator, n // 3)), L.frobenius_matrix()]
     note = ("C3 x C3: the 3-torsion of the cyclic-extension torus together "
             "with the Frobenius of the extension")
-    return (3, 3), build, note
+    return (3, 3), gens, note
 
 
 _FAMILIES = {
@@ -401,55 +361,71 @@ FAMILY_TAGS = tuple(_FAMILIES)
 class PlaneAction:
     """An abelian group acting on P^2(K) by projectivities.
 
-    elements maps each GroupElement (invariant-factor coordinates) to its
-    Projectivity.  Only the invariant-factor generators' matrices are
-    applied to points and lines, once each; orbits, stabilizers, the
-    images of a point and every element's permutation are composed from
-    those generator permutations over point and line indices.
+    The group is Z/m_1 x ... x Z/m_r over the natural moduli, generator j
+    acting by the matrix gens[j]; group is its invariant-factor form and
+    elements maps each GroupElement to its natural coordinates, in
+    itertools.product order.  Only the generators' matrices are applied to
+    points and lines, once each; orbits, stabilizers, the images of a point
+    and every element's permutation and matrix are composed from the
+    generators.
     """
 
-    def __init__(self, field, tag, group, elements, iso_note):
+    def __init__(self, field, tag, moduli, gens, iso_note):
         self.field = field
         self.tag = tag
-        self.group = group
-        self.elements = elements
+        self.moduli = tuple(moduli)
+        self.gens = [Projectivity(field, M) for M in gens]
+        if len(self.gens) != len(self.moduli):
+            raise PlaneError("need one generator per modulus")
         self.iso_note = iso_note
+        self.group, convert = invariant_factor_form(self.moduli)
+        self.elements = {convert(nat): nat for nat in
+                         itertools.product(*(range(m) for m in self.moduli))}
         self.plane, self._pt_index, self._ln_index = _plane_data(field)
-        self._gens = [group.element(tuple(int(j == k) for j in range(group.rank)))
-                      for k in range(group.rank)]
         triples = [p.triple for p in self.plane.points]
-        mats = [elements[g] for g in self._gens]
-        self._point_gens = [_index_map(field, M.rows, triples) for M in mats]
+        self._point_gens = [_index_map(field, M.rows, triples) for M in self.gens]
         # n -> n M^(-1) is proportional to n adj(M) = (adj(M)^T n^T)^T
         self._line_gens = [_index_map(field, tuple(zip(*M.adj)), triples)
-                           for M in mats]
+                           for M in self.gens]
         self._check()
 
     def _check(self):
-        F = self.field
-        if self.elements[self.group.zero] != Projectivity.identity(F):
-            raise PlaneError("identity does not act trivially")
-        if len(set(self.elements.values())) != self.group.order:
-            raise PlaneError("action is not faithful")
-        items = list(self.elements.items())
-        rng = random.Random(2)
-        pairs = (itertools.product(items, items) if len(items) ** 2 <= 900
-                 else ((rng.choice(items), rng.choice(items)) for _ in range(40)))
-        for (g, mg), (h, mh) in pairs:
-            if (_projective_rows(F, _mat_mul(F, mg.rows, mh.rows))
-                    != self.elements[g + h].rows):
-                raise PlaneError(f"action is not a homomorphism at {g}, {h}")
+        """Exact relations on the generators.  Each must preserve incidence;
+        the rest is read off the point permutations, PGL_3(K) acting
+        faithfully on points: generator j has order dividing m_j, the
+        generators commute, and no nonzero element fixes every point."""
         inc = self.plane.incidences
-        for g, pp, lp in zip(self._gens, self._point_gens, self._line_gens):
+        n = self.plane.n_points
+        for j, (pp, lp, m) in enumerate(zip(self._point_gens, self._line_gens,
+                                            self.moduli)):
             if {(pp[a], lp[b]) for a, b in inc} != inc:
-                raise PlaneError(f"generator {g} breaks incidence")
+                raise PlaneError(f"generator {j} breaks incidence")
+            if any(m % len(cycle) for cycle in _orbits([pp], n)[0]):
+                raise PlaneError(f"generator {j} has order not dividing {m}")
+        for (j, P), (k, Q) in itertools.combinations(enumerate(self._point_gens), 2):
+            if [P[x] for x in Q] != [Q[x] for x in P]:
+                raise PlaneError(f"generators {j} and {k} do not commute")
+        # the group is abelian, so an element fixing one point of an orbit
+        # fixes it all: the kernel is the meet of the orbit leaders' stabilizers
+        kernel = range(1, self.group.order)
+        for orbit in self._point_orbits[0]:
+            if not kernel:
+                break
+            images = _images(self._point_gens, self.moduli, orbit[0])
+            kernel = [k for k in kernel if images[k] == orbit[0]]
+        if kernel:
+            raise PlaneError("action is not faithful")
 
     def matrix(self, g):
-        return self.elements[self.group.element(g)]
+        out = Projectivity.identity(self.field)
+        for M, c in zip(self.gens, self.elements[self.group.element(g)]):
+            for _ in range(c):
+                out = out * M
+        return out
 
     def _perm(self, gens, g):
         perm = list(range(self.plane.n_points))
-        for P, c in zip(gens, self.group.element(g).coords):
+        for P, c in zip(gens, self.elements[self.group.element(g)]):
             for _ in range(c):
                 perm = [P[x] for x in perm]
         return tuple(perm)
@@ -479,8 +455,8 @@ class PlaneAction:
         # elements; otherwise the first fixing g in element order is named
         if len(orbits[1][i]) == self.group.order:
             return None
-        images = _images(gens, self.group.factors, i)
-        return next(g for g in self.elements if g and images[g.index] == i)
+        images = _images(gens, self.moduli, i)
+        return next(g for g, x in zip(self.elements, images) if g and x == i)
 
     def point_stabilizer_witness(self, i):
         """A nonzero g fixing point i, or None when the stabilizer is trivial."""
@@ -501,12 +477,8 @@ def family_build(field, tag):
         raise PlaneError(f"unknown family tag {tag!r}; use one of {FAMILY_TAGS}")
     if field.q > PLANE_CAP:
         raise PlaneError(f"plane order {field.q} above cap {PLANE_CAP}")
-    moduli, build, note = _FAMILIES[key](field)
-    group, convert = invariant_factor_form(moduli)
-    elements = {}
-    for nat in itertools.product(*(range(m) for m in moduli)):
-        elements[convert(nat)] = build(nat)
-    return PlaneAction(field, key, group, elements, note)
+    moduli, gens, note = _FAMILIES[key](field)
+    return PlaneAction(field, key, moduli, gens, note)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +525,10 @@ class ExtractResult:
                 "point": self.point_index, "line": self.line_index}
 
 
-def _resolve(index, cls, field, x):
+def _resolve(index, cls, field, x, side):
     if isinstance(x, int):
+        if not 0 <= x < len(index):
+            raise PlaneError(f"{side} index {x} outside range({len(index)})", side=side)
         return x
     return index[(x if isinstance(x, cls) else cls(field, x)).triple]
 
@@ -582,9 +556,9 @@ def extract_sidon(action, point=None, line=None):
     if point is None or line is None:
         pi, li = default_point_line(action)
     if point is not None:
-        pi = _resolve(action._pt_index, ProjPoint, action.field, point)
+        pi = _resolve(action._pt_index, ProjPoint, action.field, point, "point")
     if line is not None:
-        li = _resolve(action._ln_index, ProjLine, action.field, line)
+        li = _resolve(action._ln_index, ProjLine, action.field, line, "line")
 
     w = action.point_stabilizer_witness(pi)
     if w is not None:
@@ -595,9 +569,9 @@ def extract_sidon(action, point=None, line=None):
         raise PlaneError(f"line {action.plane.lines[li]} has nontrivial "
                          f"stabilizer (contains {w})", side="line", witness=w)
 
-    images = _images(action._point_gens, action.group.factors, pi)
+    images = _images(action._point_gens, action.moduli, pi)
     on_line = set(action.plane.line_points[li])
-    S = {g for g in action.elements if images[g.index] in on_line}
+    S = {g for g, x in zip(action.elements, images) if x in on_line}
     q = action.field.q
     d = (q + 1) - len(S)
     outside = len(on_line - action.point_orbit(pi))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -242,22 +243,31 @@ def brute_line_image(action, M, j):
                                             for k in range(3)])]
 
 
+@functools.lru_cache(maxsize=None)
+def brute_matrices(action):
+    """{g: action.matrix(g)} in the order of action.elements, built once
+    per action."""
+    return {g: action.matrix(g) for g in action.elements}
+
+
 def brute_point_orbit(action, i):
-    return frozenset(brute_point_image(action, M, i) for M in action.elements.values())
+    return frozenset(brute_point_image(action, M, i)
+                     for M in brute_matrices(action).values())
 
 
 def brute_line_orbit(action, j):
-    return frozenset(brute_line_image(action, M, j) for M in action.elements.values())
+    return frozenset(brute_line_image(action, M, j)
+                     for M in brute_matrices(action).values())
 
 
 def brute_point_witness(action, i):
     """The first nonzero g, in the order of action.elements, fixing point i."""
-    return next((g for g, M in action.elements.items()
+    return next((g for g, M in brute_matrices(action).items()
                  if g and brute_point_image(action, M, i) == i), None)
 
 
 def brute_line_witness(action, j):
-    return next((g for g, M in action.elements.items()
+    return next((g for g, M in brute_matrices(action).items()
                  if g and brute_line_image(action, M, j) == j), None)
 
 
@@ -270,7 +280,7 @@ def brute_extract(action, i, j):
         if w is not None:
             return "refused", side, w
     on_line = set(action.plane.line_points[j])
-    S = {g for g, M in action.elements.items()
+    S = {g for g, M in brute_matrices(action).items()
          if brute_point_image(action, M, i) in on_line}
     return "extracted", S, action.field.q + 1 - len(S)
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import logging
 import pathlib
@@ -13,6 +14,7 @@ from conftest import (
     brute_line_image,
     brute_line_orbit,
     brute_line_witness,
+    brute_matrices,
     brute_point_image,
     brute_point_orbit,
     brute_point_witness,
@@ -22,7 +24,9 @@ from sidonkit.fields import field_create
 from sidonkit.incidence import is_projective_plane
 from sidonkit.planes3 import (
     FAMILY_TAGS,
+    PlaneAction,
     PlaneError,
+    Projectivity,
     extract_sidon,
     family_build,
     orbit_analysis,
@@ -146,11 +150,97 @@ def test_families_viii_ix_need_cube_roots():
 
 
 def test_action_is_homomorphism_into_projectivities():
-    action = family_build(F5, "iv")
-    G = action.group
-    for a in list(G.elements())[:8]:
-        for b in list(G.elements())[:8]:
-            assert action.matrix(a) * action.matrix(b) == action.matrix(a + b)
+    # every pair, on every family with at most 30 elements
+    checked = 0
+    for q, tag in itertools.product([2, 3, 4, 5, 7, 8, 9], FAMILY_TAGS):
+        action = action_of(q, tag)
+        if action is None or action.group.order > 30:
+            continue
+        M = brute_matrices(action)
+        for a, b in itertools.product(M, M):
+            assert M[a] * M[b] == M[a + b]
+        checked += 1
+    assert checked == 31
+
+
+def _closed_form(F, tag, nat):
+    """The matrix of the element with natural coordinates nat, in closed
+    form: the group law of each family written out."""
+    d = F.d
+    if tag == "iii":
+        j, k = nat
+        return (F.pow(F.generator, j), 0, 0), (0, F.pow(F.generator, k), 0), (0, 0, 1)
+    if tag == "iv":
+        r = F.pow(F.generator, nat[0])
+        a = F.mul(F.encode(nat[1:]), r)
+        return (r, a, 0), (0, r, 0), (0, 0, 1)
+    if tag == "v" and F.p != 2:
+        x, y = F.encode(nat[:d]), F.encode(nat[d:])
+        corr = F.mul(F.inv(2), F.mul(x, F.sub(x, 1)))
+        return (1, x, F.add(y, corr)), (0, 1, x), (0, 0, 1)
+    if tag == "v":
+        # C4^d: u(a)^k = [[1,ka,C(k,2)a^2],[0,1,ka],[0,0,1]], and in
+        # characteristic 2 the corner of a product picks up x_i x_j once
+        # for each pair i < j
+        basis = [F.encode([0] * i + [1]) for i in range(d)]
+        xs = [F.mul(k % 2, a) for k, a in zip(nat, basis)]
+        x = functools.reduce(F.add, xs, 0)
+        z = functools.reduce(F.add, [F.mul(k // 2, F.mul(a, a)) for k, a in zip(nat, basis)]
+                             + [F.mul(u, v) for u, v in itertools.combinations(xs, 2)], 0)
+        return (1, x, z), (0, 1, x), (0, 0, 1)
+    a, b = F.encode(nat[:d]), F.encode(nat[d:])
+    if tag == "vi":
+        return (1, 0, b), (0, 1, a), (0, 0, 1)
+    return (1, a, b), (0, 1, 0), (0, 0, 1)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("tag", ["iii", "iv", "v", "vi", "vii"])
+def test_matrix_matches_closed_form(tag, q):
+    action = action_of(q, tag)
+    F = action.field
+    for g, nat in action.elements.items():
+        assert action.matrix(g) == Projectivity(F, _closed_form(F, tag, nat)), (g, nat)
+
+
+@pytest.mark.parametrize("moduli, gens, message", [
+    ((4, 4), [((2, 0, 0), (0, 1, 0), (0, 0, 1))] * 2, "not faithful"),
+    ((2, 4), [((2, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 2, 0), (0, 0, 1))],
+     "generator 0 has order not dividing 2"),
+    ((4, 3), [((2, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0))],
+     "generators 0 and 1 do not commute"),
+    ((4, 4), [((2, 0, 0), (0, 1, 0), (0, 0, 1))], "one generator per modulus"),
+], ids=["unfaithful", "wrong-order", "noncommuting", "generator-count"])
+def test_plane_action_rejects_bad_generators(moduli, gens, message):
+    assert F5.generator == 2
+    with pytest.raises(PlaneError, match=message):
+        PlaneAction(F5, "planted", moduli, gens, "")
+
+
+@pytest.mark.parametrize("side", ["point", "line"])
+@pytest.mark.parametrize("index", [-1, 13])
+def test_extract_rejects_flag_index_out_of_range(side, index):
+    action = family_build(F3, "i")
+    with pytest.raises(PlaneError, match="outside range") as err:
+        extract_sidon(action, **{side: index})
+    assert err.value.side == side
+
+
+def test_family_build_makes_one_matrix_per_generator(monkeypatch):
+    # elements are composed from generators on demand, never stored as
+    # matrices: building the 256-element family vi over GF(16) constructs
+    # one Projectivity per natural generator
+    made = []
+    init = Projectivity.__init__
+
+    def counting(self, field, rows):
+        made.append(rows)
+        init(self, field, rows)
+
+    monkeypatch.setattr(Projectivity, "__init__", counting)
+    action = family_build(field_create(2, 4), "vi")
+    assert action.group.order == 256
+    assert 0 < len(made) <= len(action.moduli)
 
 
 def test_point_perm_matches_lazy_orbits():
@@ -265,7 +355,7 @@ def test_extraction_matches_matrices(apl):
 def test_element_perms_and_orbit_analysis_match_matrices(apl, data):
     action, _, _ = apl
     g = data.draw(st.sampled_from(list(action.elements)))
-    M = action.elements[g]
+    M = brute_matrices(action)[g]
     n = action.plane.n_points
     assert action.point_perm(g) == tuple(brute_point_image(action, M, i) for i in range(n))
     assert action.line_perm(g) == tuple(brute_line_image(action, M, j) for j in range(n))
