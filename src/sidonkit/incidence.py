@@ -21,27 +21,25 @@ DEVELOP_CAP = 1 << 18
 class IncidenceStructure:
     """Points, lines and an incidence relation, all index-addressed.
 
-    points / lines are tuples of arbitrary hashable labels; incidences is
-    a frozenset of (point index, line index) pairs.  Adjacency lists are
-    precomputed: point_lines[i] and line_points[j] are sorted tuples.
+    points / lines are tuples of arbitrary hashable labels.  The relation is
+    its line lists: line_points[j] and point_lines[i] are sorted tuples of
+    the points on line j and the lines through point i.  IndexError for a
+    point out of range or a point list count other than len(lines).
     """
 
-    def __init__(self, points, lines, incidences):
+    def __init__(self, points, lines, line_points):
         self.points = tuple(points)
         self.lines = tuple(lines)
-        inc = set()
-        for i, j in incidences:
-            if not (0 <= i < len(self.points) and 0 <= j < len(self.lines)):
-                raise IndexError(f"incidence ({i},{j}) out of range")
-            inc.add((i, j))
-        self.incidences = frozenset(inc)
+        self.line_points = tuple(tuple(sorted(set(pts))) for pts in line_points)
+        if len(self.line_points) != len(self.lines):
+            raise IndexError(f"{len(self.line_points)} point lists, {len(self.lines)} lines")
         pl = [[] for _ in self.points]
-        lp = [[] for _ in self.lines]
-        for i, j in sorted(inc):
-            pl[i].append(j)
-            lp[j].append(i)
-        self.point_lines = tuple(tuple(x) for x in pl)
-        self.line_points = tuple(tuple(x) for x in lp)
+        for j, pts in enumerate(self.line_points):
+            if pts and not (0 <= pts[0] and pts[-1] < len(pl)):
+                raise IndexError(f"line {j} has a point out of range")
+            for i in pts:
+                pl[i].append(j)
+        self.point_lines = tuple(map(tuple, pl))
 
     @property
     def n_points(self):
@@ -54,17 +52,22 @@ class IncidenceStructure:
     def __eq__(self, other):
         return (isinstance(other, IncidenceStructure)
                 and self.points == other.points and self.lines == other.lines
-                and self.incidences == other.incidences)
+                and self.line_points == other.line_points)
+
+    @property
+    def incidences(self):
+        """The (point index, line index) pairs, derived from the line lists."""
+        return frozenset((i, j) for j, pts in enumerate(self.line_points) for i in pts)
 
     def __repr__(self):
         return (f"<IncidenceStructure {self.n_points} points, "
-                f"{self.n_lines} lines, {len(self.incidences)} incidences>")
+                f"{self.n_lines} lines, {sum(map(len, self.line_points))} incidences>")
 
     def to_json(self):
         return {
             "points": [str(p) for p in self.points],
             "lines": [str(l) for l in self.lines],
-            "incidences": sorted(map(list, self.incidences)),
+            "incidences": [[i, j] for i, ls in enumerate(self.point_lines) for j in ls],
         }
 
     def to_dot(self):
@@ -73,8 +76,7 @@ class IncidenceStructure:
             out.append(f'  p{i} [shape=circle label="{p}"];')
         for j, l in enumerate(self.lines):
             out.append(f'  l{j} [shape=box label="{l}"];')
-        for i, j in sorted(self.incidences):
-            out.append(f"  p{i} -- l{j};")
+        out += (f"  p{i} -- l{j};" for i, ls in enumerate(self.point_lines) for j in ls)
         out.append("}")
         return "\n".join(out)
 
@@ -89,8 +91,7 @@ def develop(group, S):
                          f"exceeds the cap of {DEVELOP_CAP} incidences")
     pts = [GroupElement(group, group.coords_of(i)) for i in range(n)]
     add = group.add
-    inc = [(add(j, s), j) for j in range(n) for s in idxs]
-    return IncidenceStructure(pts, pts, inc)
+    return IncidenceStructure(pts, pts, [[add(j, s) for s in idxs] for j in range(n)])
 
 
 class PLSResult:
@@ -141,57 +142,45 @@ class PlaneCheck:
                 "order": self.order, "failure": self.failure}
 
 
-def _general_quad(L, cap=50):
-    """Four points, no three collinear, or None.  Assumes the linear-space
-    axioms already verified, so collinearity of a triple is one lookup."""
-    online = [set(pts) for pts in L.line_points]
-
-    def line_through(a, b):
-        for j in L.point_lines[a]:
-            if b in online[j]:
-                return j
+def _general_quad(L):
+    """Four points, no three collinear, or None.  Assumes the axioms already
+    verified: two points lie on exactly one common line, two lines meet in
+    exactly one point.  Then points 0 and 1 decide.  In a nondegenerate
+    plane of order q >= 2 their line leaves a point c off it; the three
+    lines through pairs of {0, 1, c} cover at most 3q of the q^2 + q + 1
+    points, so a fourth point d exists as (q - 1)^2 >= 1.  A degenerate
+    structure has no such quadrilateral at all."""
+    n = L.n_points
+    if n < 2:
         return None
 
-    tried = 0
-    n = L.n_points
-    for a in range(n):
-        for b in range(a + 1, n):
-            tried += 1
-            if tried > cap:
-                return None
-            jab = line_through(a, b)
-            for c in range(n):
-                if c != a and c != b and c not in online[jab]:
-                    break
-            else:
-                continue
-            bad = online[jab] | online[line_through(a, c)] | online[line_through(b, c)]
-            for d in range(n):
-                if d not in bad:
-                    return (a, b, c, d)
+    def joining(a, b):
+        # the points of the one line through a and b
+        return set(L.line_points[min(set(L.point_lines[a]) & set(L.point_lines[b]))])
+
+    ab = joining(0, 1)
+    for c in range(n):
+        if c not in ab:
+            bad = ab | joining(0, c) | joining(1, c)
+            return next(((0, 1, c, d) for d in range(n) if d not in bad), None)
     return None
 
 
 def is_projective_plane(L):
     """Exactly-one joining line, exactly-one meeting point, nondegeneracy;
     returns the order q with all count regularities cross-checked."""
-    # counting: with C4-freeness, pair coverage is exact iff the totals match
+    # counting: with C4-freeness no pair is counted twice, so pair coverage
+    # is exact iff the totals match
     gaps = deficiency(L)
     unjoined, nonmeeting = gaps["unjoined_point_pairs"], gaps["nonmeeting_line_pairs"]
     if unjoined > 0:
         return PlaneCheck(None, "two points on no common line")
     if nonmeeting > 0:
         return PlaneCheck(None, "two lines with no common point")
-    pls = is_partial_linear_space(L)
-    if not pls:
+    if not is_partial_linear_space(L):
         return PlaneCheck(None, "two points on two common lines")
-    if unjoined < 0:  # duplicate-free tally can only overshoot via a C4
-        return PlaneCheck(None, "two points on two common lines")  # pragma: no cover
-    dual_pls = is_partial_linear_space(dualize(L))
-    if not dual_pls:
+    if not is_partial_linear_space(dualize(L)):
         return PlaneCheck(None, "two lines with two common points")
-    if nonmeeting < 0:
-        return PlaneCheck(None, "two lines with two common points")  # pragma: no cover
     if _general_quad(L) is None:
         return PlaneCheck(None, "degenerate: no quadrilateral in general position")
     q = len(L.line_points[0]) - 1 if L.line_points else 0
@@ -207,9 +196,9 @@ def is_projective_plane(L):
 
 
 def dualize(L):
-    """Swap points and lines, transpose the incidence relation."""
-    return IncidenceStructure(L.lines, L.points,
-                              [(j, i) for i, j in L.incidences])
+    """Swap points and lines: the lines through each point become the
+    point lists of the dual's lines."""
+    return IncidenceStructure(L.lines, L.points, L.point_lines)
 
 
 def self_dual_via_negation(group, S):
@@ -220,11 +209,11 @@ def self_dual_via_negation(group, S):
 def negation_is_duality(group, L):
     """Does x -> -x carry the development L = dev(S) of some S in group
     onto its dual?"""
-    inc = L.incidences
     neg = group.neg
-    # (i, j) -> (-j, -i) is a bijection, so it maps inc onto itself as soon
-    # as it maps inc into itself
-    return all((neg(j), neg(i)) in inc for i, j in inc)
+    # (i, j) -> (-j, -i) maps the incidences of line j onto those of point
+    # -j, so it preserves incidence iff it does so line by line
+    return all(tuple(sorted(map(neg, pts))) == L.point_lines[neg(j)]
+               for j, pts in enumerate(L.line_points))
 
 
 def deficiency(L):

@@ -176,19 +176,20 @@ def _plane_data(field):
     # the q + 1 points of ax + by + cz = 0: point (x, y, 1) has index
     # qx + y, (x, 1, 0) has q^2 + x and (1, 0, 0) is last
     inf = q * q
-    inc = []
-    for j, (a, b, c) in enumerate(triples):
+    line_points = []
+    for a, b, c in triples:
         if b:
             m = neg[inv[b]]         # y = -(ax + c)/b
-            inc += [(q * x + mul[add[mul[a][x]][c]][m], j) for x in range(q)]
-            inc.append((inf + mul[neg[b]][inv[a]] if a else inf + q, j))
+            pts = [q * x + mul[add[mul[a][x]][c]][m] for x in range(q)]
+            pts.append(inf + mul[neg[b]][inv[a]] if a else inf + q)
         elif a:
             x = mul[neg[c]][inv[a]]
-            inc += [(q * x + y, j) for y in range(q)]
-            inc.append((inf, j))
+            pts = [q * x + y for y in range(q)]
+            pts.append(inf)
         else:                       # the line at infinity
-            inc += [(inf + x, j) for x in range(q + 1)]
-    structure = IncidenceStructure(points, lines, inc)
+            pts = range(inf, inf + q + 1)
+        line_points.append(pts)
+    structure = IncidenceStructure(points, lines, line_points)
     pt_index = {p.triple: i for i, p in enumerate(points)}
     ln_index = {l.triple: j for j, l in enumerate(lines)}
     return structure, pt_index, ln_index
@@ -394,11 +395,13 @@ class PlaneAction:
         the rest is read off the point permutations, PGL_3(K) acting
         faithfully on points: generator j has order dividing m_j, the
         generators commute, and no nonzero element fixes every point."""
-        inc = self.plane.incidences
+        lines = self.plane.line_points
         n = self.plane.n_points
         for j, (pp, lp, m) in enumerate(zip(self._point_gens, self._line_gens,
                                             self.moduli)):
-            if {(pp[a], lp[b]) for a, b in inc} != inc:
+            # line b must go onto line lp[b], point for point
+            if any(tuple(sorted(map(pp.__getitem__, pts))) != lines[lp[b]]
+                   for b, pts in enumerate(lines)):
                 raise PlaneError(f"generator {j} breaks incidence")
             if any(m % len(cycle) for cycle in _orbits([pp], n)[0]):
                 raise PlaneError(f"generator {j} has order not dividing {m}")
@@ -416,19 +419,25 @@ class PlaneAction:
         if kernel:
             raise PlaneError("action is not faithful")
 
-    def matrix(self, g):
-        out = Projectivity.identity(self.field)
-        for M, c in zip(self.gens, self.elements[self.group.element(g)]):
-            for _ in range(c):
-                out = out * M
+    def _product(self, out, gens, mul, g):
+        """out times each gens[j]^c_j under mul, c_j g's natural coordinates,
+        each power by repeated squaring in O(log c_j) products."""
+        for x, c in zip(gens, self.elements[self.group.element(g)]):
+            while c:
+                if c & 1:
+                    out = mul(out, x)
+                c >>= 1
+                if c:
+                    x = mul(x, x)
         return out
 
+    def matrix(self, g):
+        return self._product(Projectivity.identity(self.field), self.gens,
+                             Projectivity.__mul__, g)
+
     def _perm(self, gens, g):
-        perm = list(range(self.plane.n_points))
-        for P, c in zip(gens, self.elements[self.group.element(g)]):
-            for _ in range(c):
-                perm = [P[x] for x in perm]
-        return tuple(perm)
+        return tuple(self._product(range(self.plane.n_points), gens,
+                                   lambda p, P: [P[x] for x in p], g))
 
     def point_perm(self, g):
         return self._perm(self._point_gens, g)

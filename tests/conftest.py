@@ -150,6 +150,17 @@ def reference_dfs(ix, stack, roots, budget, label, visit, floor=(0,)):
     return nodes
 
 
+def brute_adjacency(group, idxs):
+    """(line_points, point_lines) of dev(S) from its definition: point p
+    lies on line l iff p - l is in S, tested pair by pair on coordinates."""
+    n = group.order
+    S = {group.coords_of(s) for s in idxs}
+    coords = [group.coords_of(i) for i in range(n)]
+    on = [[group.sub_coords(coords[p], coords[l]) in S for l in range(n)] for p in range(n)]
+    return (tuple(tuple(p for p in range(n) if on[p][l]) for l in range(n)),
+            tuple(tuple(l for l in range(n) if on[p][l]) for p in range(n)))
+
+
 def brute_max(group):
     """Reference maximum Sidon size: every Sidon set has a translate
     containing 0."""

@@ -233,6 +233,13 @@ def test_04_group_actions_on_planes():
                 extract_sidon(action)
             except PlaneError:
                 assert tag in ("vi", "vii")
+    _plane_data.cache_clear()
+    with budget(2, "check 4, family_build(GF(64), 'vi')"):
+        assert family_build(field(64), "vi").group.order == 64 * 64
+    action = family_build(field(64), "i")
+    for name in ("point_perm", "matrix"):
+        with budget(0.05, f"check 4, {name} of g = 4160 in family i over GF(64)"):
+            getattr(action, name)(4160)
 
 
 def test_05_orbit_counts():

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cyclic, els
+from conftest import brute_adjacency, cyclic, els, small_group
 from sidonkit import incidence
 from sidonkit.groups import AbelianGroup, GroupError
 from sidonkit.incidence import (
@@ -10,6 +12,7 @@ from sidonkit.incidence import (
     dualize,
     is_partial_linear_space,
     is_projective_plane,
+    negation_is_duality,
     self_dual_via_negation,
 )
 
@@ -87,7 +90,7 @@ def test_pls_violation_witness():
     L = IncidenceStructure(
         points=["a", "b", "c"],
         lines=["l", "m"],
-        incidences=[(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)],
+        line_points=[[0, 1], [0, 1, 2]],
     )
     res = is_partial_linear_space(L)
     assert not res
@@ -109,6 +112,42 @@ def test_plane_check_catches_truncation():
     trunc = IncidenceStructure(
         L.points,
         [ln for j, ln in enumerate(L.lines) if j in keep],
-        [(i, j) for i, j in L.incidences if j in keep],
+        [pts for j, pts in enumerate(L.line_points) if j in keep],
     )
     assert not is_projective_plane(trunc)
+
+
+@pytest.mark.parametrize("line_points", [[[0, 3]], [[-1, 0]], [], [[0], [1]]])
+def test_constructor_rejects_bad_line_lists(line_points):
+    # a point index out of range, or not one point list per line
+    with pytest.raises(IndexError):
+        IncidenceStructure(["a", "b", "c"], ["l"], line_points)
+
+
+def test_constructor_normalises_lines():
+    L = IncidenceStructure(["a", "b", "c"], ["l", "m"], [[2, 0, 2], []])
+    assert L.line_points == ((0, 2), ())
+    assert L.point_lines == ((0,), (), (0,))
+    assert L.incidences == {(0, 0), (2, 0)}
+
+
+def test_negation_can_fail_to_be_a_duality():
+    # swapping the point lists of lines 1 and 2 of the Fano development
+    # leaves a plane of order 2 that x -> -x no longer maps onto its dual
+    G = cyclic(7)
+    L = fano()
+    assert negation_is_duality(G, L)
+    lines = list(L.line_points)
+    lines[1], lines[2] = lines[2], lines[1]
+    swapped = IncidenceStructure(L.points, L.lines, lines)
+    assert is_projective_plane(swapped).order == 2
+    assert not negation_is_duality(G, swapped)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_develop_adjacency_matches_pair_definition(data):
+    G = data.draw(small_group(max_order=64).filter(lambda G: G.rank >= 1))
+    S = data.draw(st.sets(st.integers(0, G.order - 1), max_size=8))
+    L = develop(G, [G.element(G.coords_of(i)) for i in S])
+    assert (L.line_points, L.point_lines) == brute_adjacency(G, S)

@@ -217,6 +217,16 @@ def test_plane_action_rejects_bad_generators(moduli, gens, message):
         PlaneAction(F5, "planted", moduli, gens, "")
 
 
+def test_plane_action_check_catches_broken_incidence():
+    # genuine matrices always preserve incidence, so the line permutation
+    # of a built action is corrupted by swapping two images
+    action = family_build(F3, "i")
+    lp = action._line_gens[0]
+    lp[0], lp[1] = lp[1], lp[0]
+    with pytest.raises(PlaneError, match="generator 0 breaks incidence"):
+        action._check()
+
+
 @pytest.mark.parametrize("side", ["point", "line"])
 @pytest.mark.parametrize("index", [-1, 13])
 def test_extract_rejects_flag_index_out_of_range(side, index):
