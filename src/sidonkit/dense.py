@@ -39,21 +39,34 @@ def _erdos_turan(F):
 
 
 def _singer(F):
-    """{dlog(x) mod n : x != 0, Tr(x) = 0} with n = q^2+q+1, from one
-    walk over the generator powers g^0 .. g^(n-1).
+    """{dlog(x) mod n : x != 0, Tr(x) = 0} with n = q^2+q+1, read off the
+    traces t_k = Tr(g^k), k = 0 .. n-1, of the generator's powers.
 
-    k < n suffices: g^n generates K^x and the trace is K-linear, so
+    The characteristic polynomial of M = mult_matrix(g) is
+    x^3 - c2 x^2 + c1 x - c0 with c2 = tr M, c1 the sum of the principal
+    2x2 minors and c0 = det M; by Cayley-Hamilton g^3 = c2 g^2 - c1 g + c0,
+    and the trace is K-linear, so t_(k+3) = c2 t_(k+2) - c1 t_(k+1) + c0 t_k.
+    Three traces start the recurrence and each further term costs three
+    base-field products.  k < n suffices: g^n generates K^x, so
     Tr(g^(k+n)) = g^n Tr(g^k) vanishes exactly when Tr(g^k) does.
     """
     L = field_extension(F, 3)
     n = F.q ** 2 + F.q + 1
     group = AbelianGroup.cyclic(n)
+    add, sub, mul = F.add, F.sub, F.mul
+    (a, b, c), (d, e, f), (g, h, i) = L.mult_matrix(L.generator)
+    c2 = add(add(a, e), i)
+    c1 = add(add(sub(mul(a, e), mul(b, d)), sub(mul(a, i), mul(c, g))),
+             sub(mul(e, i), mul(f, h)))
+    c0 = add(add(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(f, g), mul(d, i)))),
+             mul(c, sub(mul(d, h), mul(e, g))))
+    tr = L.trace_to_base
+    t0, t1, t2 = tr(1), tr(L.generator), tr(L.mul(L.generator, L.generator))
     S = set()
-    x = 1
     for k in range(n):
-        if L.trace_to_base(x) == 0:
+        if t0 == 0:
             S.add(group.element(k))
-        x = L.mul(x, L.generator)
+        t0, t1, t2 = t1, t2, add(sub(mul(c2, t2), mul(c1, t1)), mul(c0, t0))
     return group, S, ("multiplicative group of the cubic extension modulo "
                       "scalars, coded by discrete log mod %d" % n)
 
@@ -117,10 +130,10 @@ def construct_dense(name, F):
             f"{name}: got (|G|, |S|) = ({group.order}, {len(S)}), "
             f"expected ({want_n}, {want_s})")  # pragma: no cover
     if verbose:
-        # the Singer walk visits the |G| powers g^0 .. g^(|G|-1)
-        walked = f", {group.order} generator powers walked" if name == "singer" else ""
+        # the Singer recurrence runs through the |G| traces t_0 .. t_(|G|-1)
+        terms = f", {group.order} trace terms" if name == "singer" else ""
         log.info("%s over GF(%d): |G| = %d, |S| = %d%s, %.3fs",
-                 name, F.q, group.order, len(S), walked, time.perf_counter() - t0)
+                 name, F.q, group.order, len(S), terms, time.perf_counter() - t0)
     return group, S, note
 
 

@@ -170,17 +170,20 @@ def is_projective_plane(L):
     """Exactly-one joining line, exactly-one meeting point, nondegeneracy;
     returns the order q with all count regularities cross-checked."""
     # counting: with C4-freeness no pair is counted twice, so pair coverage
-    # is exact iff the totals match
+    # is exact iff the totals match.  A C4 (two points on two common
+    # lines) is also two lines through two common points, so the dual
+    # needs no pass of its own
     gaps = deficiency(L)
     unjoined, nonmeeting = gaps["unjoined_point_pairs"], gaps["nonmeeting_line_pairs"]
     if unjoined > 0:
         return PlaneCheck(None, "two points on no common line")
     if nonmeeting > 0:
         return PlaneCheck(None, "two lines with no common point")
-    if not is_partial_linear_space(L):
+    # a negative count has more pairs on lines than pairs exist, so some
+    # pair lies on two lines; at zero it is C4-free iff every pair is
+    # covered, which one OR of line masks per point decides
+    if unjoined < 0 or nonmeeting < 0 or not _covers_every_pair(L):
         return PlaneCheck(None, "two points on two common lines")
-    if not is_partial_linear_space(dualize(L)):
-        return PlaneCheck(None, "two lines with two common points")
     if _general_quad(L) is None:
         return PlaneCheck(None, "degenerate: no quadrilateral in general position")
     q = len(L.line_points[0]) - 1 if L.line_points else 0
@@ -193,6 +196,19 @@ def is_projective_plane(L):
     if any(len(ls) != q + 1 for ls in L.point_lines):
         return PlaneCheck(None, "point degrees unequal")
     return PlaneCheck(q)
+
+
+def _covers_every_pair(L):
+    """Does every pair of points lie on some common line?"""
+    masks = [sum(1 << i for i in pts) for pts in L.line_points]
+    full = (1 << L.n_points) - 1
+    for a, ls in enumerate(L.point_lines):
+        m = 1 << a
+        for j in ls:
+            m |= masks[j]
+        if m != full:
+            return False
+    return True
 
 
 def dualize(L):
@@ -218,8 +234,12 @@ def negation_is_duality(group, L):
 
 def deficiency(L):
     """How far a structure is from plane axioms: counts of point pairs on
-    no common line and line pairs with no common point.  Zero deficiency
-    plus nondegeneracy is exactly the plane condition."""
+    no common line and line pairs with no common point.  The totals
+    depend only on line sizes and point degrees, so zero deficiency does
+    not make a plane: the structure must also be C4-free (no two points
+    on two common lines), and then nondegeneracy is all that is left.
+    dev({0, 1, 3}) in Z/7 with points 0 and 2 swapped between lines 0
+    and 1 has deficiencies 0 and 0 and a C4."""
     need_p = L.n_points * (L.n_points - 1) // 2
     have_p = sum(len(pts) * (len(pts) - 1) // 2 for pts in L.line_points)
     need_l = L.n_lines * (L.n_lines - 1) // 2

@@ -5,7 +5,15 @@ import math
 import sympy
 from hypothesis import strategies as st
 
+from sidonkit.fields import field_extension
 from sidonkit.groups import AbelianGroup
+from sidonkit.incidence import (
+    PlaneCheck,
+    _general_quad,
+    deficiency,
+    dualize,
+    is_partial_linear_space,
+)
 from sidonkit.search import BudgetExceeded
 
 
@@ -343,3 +351,44 @@ def table_unit_encoder(m):
         return tuple(coords)
 
     return encode
+
+
+def brute_singer(F):
+    """Reference Singer set over F, as a set of logs: the k < q^2+q+1
+    with Tr(g^k) = 0, walking the generator powers of the cubic
+    extension one multiplication at a time."""
+    L = field_extension(F, 3)
+    out, x = set(), 1
+    for k in range(F.q ** 2 + F.q + 1):
+        if frobenius_trace(L, x) == 0:
+            out.add(k)
+        x = L.mul(x, L.generator)
+    return out
+
+
+def brute_plane_check(L):
+    """Reference projective-plane verdict: the axioms in the fast check's
+    order, with C4-freeness decided by the pair dictionary of
+    is_partial_linear_space on the structure and again on its dual."""
+    gaps = deficiency(L)
+    unjoined, nonmeeting = gaps["unjoined_point_pairs"], gaps["nonmeeting_line_pairs"]
+    if unjoined > 0:
+        return PlaneCheck(None, "two points on no common line")
+    if nonmeeting > 0:
+        return PlaneCheck(None, "two lines with no common point")
+    if not is_partial_linear_space(L):
+        return PlaneCheck(None, "two points on two common lines")
+    if not is_partial_linear_space(dualize(L)):
+        return PlaneCheck(None, "two lines with two common points")
+    if _general_quad(L) is None:
+        return PlaneCheck(None, "degenerate: no quadrilateral in general position")
+    q = len(L.line_points[0]) - 1 if L.line_points else 0
+    if q < 2:
+        return PlaneCheck(None, "degenerate: order below 2")
+    if L.n_points != q * q + q + 1 or L.n_lines != L.n_points:
+        return PlaneCheck(None, "point/line counts off q^2+q+1")
+    if any(len(pts) != q + 1 for pts in L.line_points):
+        return PlaneCheck(None, "line sizes unequal")
+    if any(len(ls) != q + 1 for ls in L.point_lines):
+        return PlaneCheck(None, "point degrees unequal")
+    return PlaneCheck(q)

@@ -159,6 +159,9 @@ def test_03_singer_developments_are_planes():
         assert is_projective_plane(fano).order == 2
         # {1,2,4} = {0,1,3} + 1, so this development is the classical one
         assert affine_equivalent(g7, els(g7, 1, 2, 4), els(g7, 0, 1, 3))
+    with budget(1, "check 3, Singer plane over GF(61)"):
+        group, S, _ = construct_dense("singer", field(61))
+        assert is_projective_plane(develop(group, S)).order == 61
 
 
 def test_04_group_actions_on_planes():

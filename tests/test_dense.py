@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import frobenius_trace
+from conftest import brute_singer, frobenius_trace
 from sidonkit.dense import (
     DENSE_NAMES,
     ConstructionError,
@@ -20,7 +20,8 @@ from sidonkit.sidon import counting_bound, is_perfect_difference_set, is_sidon
 FIELDS = {q: field_create(p, d) for q, (p, d) in
           {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
            7: (7, 1), 8: (2, 3), 9: (3, 2), 11: (11, 1), 13: (13, 1),
-           16: (2, 4), 31: (31, 1)}.items()}
+           16: (2, 4), 17: (17, 1), 19: (19, 1), 23: (23, 1), 25: (5, 2),
+           27: (3, 3), 29: (29, 1), 31: (31, 1)}.items()}
 
 # (construction, expected group order as a function of q, expected size)
 SHAPES = {
@@ -58,7 +59,7 @@ def test_singer_gives_perfect_difference_set(q):
     assert is_perfect_difference_set(group, S)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_singer_is_the_trace_zero_set_mod_scalars(q):
     # brute force over all of GF(q^3)^x: {dlog(x) mod n : Tr(x) = 0}
     E = FieldExtension(FIELDS[q], 3)
@@ -68,6 +69,12 @@ def test_singer_is_the_trace_zero_set_mod_scalars(q):
     assert {e.coords[0] for e in S} == want
 
 
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_singer_recurrence_matches_the_power_walk(q):
+    group, S, _ = construct_dense("singer", FIELDS[q])
+    assert {e.coords[0] for e in S} == brute_singer(FIELDS[q])
+
+
 def test_construct_dense_logs_one_line_per_call(caplog):
     with caplog.at_level(logging.INFO, logger="sidonkit"):
         construct_dense("singer", FIELDS[5])
@@ -75,9 +82,9 @@ def test_construct_dense_logs_one_line_per_call(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "sidonkit.dense"]
     assert len(lines) == 2
     assert lines[0].startswith(
-        "singer over GF(5): |G| = 31, |S| = 6, 31 generator powers walked, ")
+        "singer over GF(5): |G| = 31, |S| = 6, 31 trace terms, ")
     assert lines[1].startswith("bose over GF(5): |G| = 24, |S| = 5, ")
-    assert "generator powers" not in lines[1]
+    assert "trace terms" not in lines[1]
 
 
 def test_construct_dense_is_silent_without_info(caplog):

@@ -1,9 +1,13 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_adjacency, cyclic, els, small_group
+from conftest import brute_adjacency, brute_plane_check, cyclic, els, small_group
 from sidonkit import incidence
+from sidonkit.dense import construct_dense
+from sidonkit.fields import field_create
 from sidonkit.groups import AbelianGroup, GroupError
 from sidonkit.incidence import (
     IncidenceStructure,
@@ -60,6 +64,21 @@ def test_develop_non_sidon_is_not_pls():
 def test_deficiency_zero_on_plane():
     d = deficiency(fano())
     assert d == {"unjoined_point_pairs": 0, "nonmeeting_line_pairs": 0}
+
+
+def test_zero_deficiency_with_a_c4_is_not_a_plane():
+    # points 0 and 2 swapped between lines 0 and 1 of the Fano development:
+    # line sizes and point degrees, hence both deficiencies, stay put, but
+    # points 2 and 3 now lie on lines 0 and 2
+    lines = list(fano().line_points)
+    assert lines[:3] == [(0, 1, 3), (1, 2, 4), (2, 3, 5)]
+    lines[0], lines[1] = (1, 2, 3), (0, 1, 4)
+    L = IncidenceStructure(range(7), range(7), lines)
+    assert deficiency(L) == {"unjoined_point_pairs": 0, "nonmeeting_line_pairs": 0}
+    assert is_projective_plane(L).to_json() == {
+        "projective_plane": False, "order": None,
+        "failure": "two points on two common lines"}
+    assert not is_partial_linear_space(L)
 
 
 def test_dualize_involution_and_plane():
@@ -151,3 +170,50 @@ def test_develop_adjacency_matches_pair_definition(data):
     S = data.draw(st.sets(st.integers(0, G.order - 1), max_size=8))
     L = develop(G, [G.element(G.coords_of(i)) for i in S])
     assert (L.line_points, L.point_lines) == brute_adjacency(G, S)
+
+
+@functools.cache
+def singer_lines(q):
+    p, d = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[q]
+    group, S, _ = construct_dense("singer", field_create(p, d))
+    return develop(group, S).line_points
+
+
+@st.composite
+def random_lines(draw):
+    n = draw(st.integers(0, 16))
+    lines = draw(st.lists(st.sets(st.integers(0, n - 1)) if n else st.just(set()),
+                          max_size=16))
+    return IncidenceStructure(range(n), range(len(lines)), lines)
+
+
+@st.composite
+def small_development(draw):
+    G = draw(small_group(max_order=64).filter(lambda G: G.rank >= 1))
+    S = draw(st.sets(st.integers(0, G.order - 1), max_size=8))
+    return develop(G, [G.element(G.coords_of(i)) for i in S])
+
+
+@st.composite
+def switched_singer_plane(draw):
+    """A Singer plane for q <= 5 after up to three switches: a point of
+    one line traded for a point of another, which keeps every line size
+    and point degree, so both deficiencies stay 0."""
+    lines = [set(pts) for pts in singer_lines(draw(st.sampled_from([2, 3, 4, 5])))]
+    for _ in range(draw(st.integers(0, 3))):
+        j, k = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2,
+                             unique=True))
+        a = draw(st.sampled_from(sorted(lines[j] - lines[k])))
+        b = draw(st.sampled_from(sorted(lines[k] - lines[j])))
+        lines[j] ^= {a, b}
+        lines[k] ^= {a, b}
+    n = len(lines)
+    return IncidenceStructure(range(n), range(n), lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(random_lines(), small_development(), switched_singer_plane()))
+def test_plane_check_matches_the_pair_walk(L):
+    assert is_projective_plane(L).to_json() == brute_plane_check(L).to_json()
+    # a C4 of points is a C4 of lines, so the dual pass never decided
+    assert is_partial_linear_space(L).ok == is_partial_linear_space(dualize(L)).ok
