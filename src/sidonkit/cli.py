@@ -19,6 +19,7 @@ from .dense import (
     ConstructionError,
     PlanarCandidate,
     construct_dense,
+    dense_parameters,
     is_planar,
     planar_graph,
     polarization,
@@ -48,7 +49,7 @@ from .search import (
     test_extendable,
     test_T_subgroup,
 )
-from .sidon import is_sidon
+from .sidon import check_verification_cap, is_sidon
 from .sparse import (
     FRAMEWORK_FIELDS,
     BudgetError,
@@ -87,11 +88,15 @@ def _emit(payload):
     print(json.dumps(payload, sort_keys=True))
 
 
-def _field(q):
+def _prime_power(q):
     pd = prime_power(q)
     if pd is None:
         raise FieldError(f"{q} is not a prime power")
-    return field_create(*pd)
+    return pd
+
+
+def _field(q):
+    return field_create(*_prime_power(q))
 
 
 def _parse_group(text):
@@ -118,10 +123,15 @@ def _int_list(text):
 
 
 def cmd_construct(args):
-    F = _field(args.q)
-    if args.name == "planar":
-        if args.exponent is None:
-            raise ConstructionError("construct planar needs --exponent")
+    pd = _prime_power(args.q)
+    planar = args.name == "planar"
+    if planar and args.exponent is None:
+        raise ConstructionError("construct planar needs --exponent")
+    # the output is verified, so an order past is_sidon's cap is refused
+    # from the parameter formula before the field or the set is built
+    check_verification_cap(args.q ** 2 if planar else dense_parameters(args.name, args.q)[0])
+    F = field_create(*pd)
+    if planar:
         cand = PlanarCandidate.monomial(F, args.exponent)
         rep = is_planar(cand)
         if not rep.planar:

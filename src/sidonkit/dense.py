@@ -46,9 +46,10 @@ def _singer(F):
     x^3 - c2 x^2 + c1 x - c0 with c2 = tr M, c1 the sum of the principal
     2x2 minors and c0 = det M; by Cayley-Hamilton g^3 = c2 g^2 - c1 g + c0,
     and the trace is K-linear, so t_(k+3) = c2 t_(k+2) - c1 t_(k+1) + c0 t_k.
-    Three traces start the recurrence and each further term costs three
-    base-field products.  k < n suffices: g^n generates K^x, so
-    Tr(g^(k+n)) = g^n Tr(g^k) vanishes exactly when Tr(g^k) does.
+    The same coefficients start it: t_0 = Tr(1) = 3, t_1 = tr M = c2 and
+    t_2 = tr M^2 = c2^2 - 2 c1 (Newton's identities), and each further
+    term costs three base-field products.  k < n suffices: g^n generates
+    K^x, so Tr(g^(k+n)) = g^n Tr(g^k) vanishes exactly when Tr(g^k) does.
     """
     L = field_extension(F, 3)
     n = F.q ** 2 + F.q + 1
@@ -60,8 +61,7 @@ def _singer(F):
              sub(mul(e, i), mul(f, h)))
     c0 = add(add(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(f, g), mul(d, i)))),
              mul(c, sub(mul(d, h), mul(e, g))))
-    tr = L.trace_to_base
-    t0, t1, t2 = tr(1), tr(L.generator), tr(L.mul(L.generator, L.generator))
+    t0, t1, t2 = 3 % F.p, c2, sub(mul(c2, c2), add(c1, c1))
     S = set()
     for k in range(n):
         if t0 == 0:
@@ -111,20 +111,25 @@ _CONSTRUCTIONS = {
 DENSE_NAMES = tuple(_CONSTRUCTIONS)
 
 
+def dense_parameters(name, q):
+    """(|G|, |S|) of a dense construction over GF(q), from its parameter
+    formula, so callers can size the result before building it."""
+    if name not in _CONSTRUCTIONS:
+        raise ConstructionError(f"unknown construction {name!r}; "
+                                f"choose from {DENSE_NAMES}")
+    return _CONSTRUCTIONS[name][1](q)
+
+
 def construct_dense(name, F):
     """One of the five dense constructions over the field F.
 
     Returns (group, S, iso_note); group order and |S| are checked against
     the construction's parameter formula before returning.
     """
-    if name not in _CONSTRUCTIONS:
-        raise ConstructionError(f"unknown construction {name!r}; "
-                                f"choose from {DENSE_NAMES}")
-    fn, params = _CONSTRUCTIONS[name]
+    want_n, want_s = dense_parameters(name, F.q)
     verbose = log.isEnabledFor(logging.INFO)
     t0 = time.perf_counter() if verbose else 0.0
-    group, S, note = fn(F)
-    want_n, want_s = params(F.q)
+    group, S, note = _CONSTRUCTIONS[name][0](F)
     if group.order != want_n or len(S) != want_s:
         raise ConstructionError(
             f"{name}: got (|G|, |S|) = ({group.order}, {len(S)}), "

@@ -1,15 +1,20 @@
-"""Finite field arithmetic: GF(p^d) in polynomial representation.
+"""Finite field arithmetic: one field type whose codes are coordinates over its base.
 
-An element of GF(p^d) is the integer code sum(c_i * p**i) for the
-polynomial c_0 + c_1*t + ... + c_{d-1}*t^(d-1), reduced modulo a monic
-irreducible modulus of degree d over GF(p).  Prime-subfield elements keep
-their natural codes 0..p-1.
+FiniteField(p, d) is GF(p^d) over the prime field: an element is the
+integer code sum(c_i * p**i) of the polynomial c_0 + c_1*t + ... +
+c_{d-1}*t^(d-1) over GF(p), reduced modulo a monic irreducible modulus of
+degree d.  FiniteField(K, e), for a field K and e in {2, 3}, is GF(|K|^e)
+over K, built the same way with K in place of GF(p): the code is
+sum(c_i * |K|**i) with c_i codes of K, so K's elements keep their own
+codes and an element's coordinates in the K-basis {1, t, t^2} are its
+base-|K| digits.  Prime-subfield elements keep their natural codes 0..p-1.
 
 When no modulus is supplied the canonical one is used: the first monic
-irreducible polynomial of degree d in increasing code order (coefficients
-read as base-p digits, leading coefficient most significant).  All derived
-data -- the verified multiplicative generator, discrete logs, traces --
-is therefore reproducible across runs and machines.
+irreducible polynomial of the degree in increasing code order
+(coefficients read as base-|K| digits, leading coefficient most
+significant).  All derived data -- the verified multiplicative generator,
+the first code of full order; discrete logs; traces -- is therefore
+reproducible across runs and machines.
 """
 
 from __future__ import annotations
@@ -107,7 +112,8 @@ def poly_is_irreducible(f, p):
 
 class FieldElement:
     """Element of a FiniteField.  Supports +, -, *, /, ** and unary minus;
-    integers coerce to prime-subfield constants."""
+    integers coerce to prime-subfield constants, and a prime-subfield
+    element equals (and hashes like) its code."""
 
     __slots__ = ("field", "code")
 
@@ -176,12 +182,15 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.code == other % self.field.p and self.code < self.field.p
+            # only the code itself, so that equal objects hash alike
+            return self.code < self.field.p and self.code == other
         return (isinstance(other, FieldElement)
                 and self.field == other.field and self.code == other.code)
 
     def __hash__(self):
-        return hash((self.field.p, self.field.d, self.field.modulus, self.code))
+        if self.code < self.field.p:
+            return hash(self.code)
+        return hash((self.field, self.code))
 
     def __bool__(self):
         return self.code != 0
@@ -198,13 +207,11 @@ class FieldElement:
     def __repr__(self):
         if self.field.d == 1:
             return str(self.code)
-        names = {1: "t"}
         parts = []
-        for i in reversed(range(self.field.d)):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if not c:
                 continue
-            var = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
+            var = "t" if i == 1 else f"t^{i}"
             if i == 0:
                 parts.append(str(c))
             else:
@@ -213,85 +220,90 @@ class FieldElement:
 
 
 class FiniteField:
-    """GF(p^d) with a verified multiplicative generator.
+    """GF(q) with a verified multiplicative generator, as a vector space of
+    dimension `degree` over its base: the prime field when built from a
+    prime p (`base` is then None), the field K when built from K.
 
-    Multiplication runs through exp/log tables for fields up to
-    TABLE_LIMIT; larger fields fall back to polynomial arithmetic and
-    baby-step giant-step discrete logs.
+    A field over a prime with q <= TABLE_LIMIT fills exp/log tables at
+    construction and multiplies through them.  A field over K fills none
+    up front, since its callers take a few products, matrices and traces;
+    its first discrete log fills them when q <= TABLE_LIMIT.  Without
+    tables, multiplication is polynomial arithmetic in the base's
+    operations and discrete logs are baby-step giant-step.
     """
 
-    def __init__(self, p, d=1, modulus=None, order_cap=DEFAULT_ORDER_CAP):
-        p, d = int(p), int(d)
-        if p < 2 or not isprime(p):
-            raise FieldError(f"characteristic {p} is not prime")
-        if d < 1:
-            raise FieldError("extension degree must be >= 1")
-        q = p ** d
+    def __init__(self, base, degree=1, modulus=None, order_cap=DEFAULT_ORDER_CAP):
+        degree = int(degree)
+        if isinstance(base, FiniteField):
+            if degree not in (2, 3):
+                raise FieldError("only quadratic and cubic extensions of a field")
+            p, kq, d = base.p, base.q, base.d * degree
+            self._cadd, self._cneg, self._cmul = base.add, base.neg, base.mul
+            self.base, base_key = base, (base._key if base.d > 1 else p)
+        else:
+            p = kq = int(base)
+            d = degree
+            if p < 2 or not isprime(p):
+                raise FieldError(f"characteristic {p} is not prime")
+            if degree < 1:
+                raise FieldError("extension degree must be >= 1")
+            self._cadd = lambda x, y: (x + y) % p
+            self._cneg = lambda x: -x % p
+            self._cmul = lambda x, y: x * y % p
+            self.base, base_key = None, p
+        q = kq ** degree
         if q > order_cap:
             raise FieldError(f"field size {q} exceeds cap {order_cap}")
-        self.p, self.d, self.q = p, d, q
-        if modulus is None:
-            self.modulus = self._canonical_modulus()
-        else:
-            m = tuple(int(c) % p for c in modulus)
-            if len(m) != d + 1 or m[-1] != 1:
-                raise FieldError("modulus must be monic of degree d")
-            if not poly_is_irreducible(list(m), p):
-                raise FieldError(f"modulus {list(m)} is reducible over GF({p})")
-            self.modulus = m
-        # xred[j] = t^(d+j) mod modulus, j = 0 .. d-2, as digit tuples
-        self._xred = []
-        cur = [(-c) % p for c in self.modulus[:d]]
-        cur += [0] * (d - len(cur))
-        for _ in range(max(d - 1, 0)):
-            self._xred.append(tuple(cur))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                for i in range(d):
-                    cur[i] = (cur[i] - top * self.modulus[i]) % p
+        self.p, self.d, self.q, self.degree, self._kq = p, d, q, degree, kq
         self._digits = None
-        if q <= TABLE_LIMIT:
+        if modulus is None:
+            modulus = self._canonical_modulus()
+        else:
+            modulus = tuple(int(c) % kq for c in modulus)
+            if len(modulus) != degree + 1 or modulus[-1] != 1:
+                raise FieldError("modulus must be monic of degree d")
+            if not self._irreducible(modulus):
+                raise FieldError(f"modulus {list(modulus)} is reducible over GF({kq})")
+        self.modulus = modulus
+        self._key = (base_key, modulus)
+        # t^degree = -(m_0 + m_1 t + ...), its nonzero terms as (i, -m_i):
+        # the reduction rule of _mul_poly
+        self._tn = [(i, self._cneg(c)) for i, c in enumerate(modulus[:degree]) if c]
+        eager = self.base is None and q <= TABLE_LIMIT
+        if eager:
             self._digits = [self._decode(c) for c in range(q)]
         self._factors_qm1 = list(factorint(q - 1)) if q > 2 else []
-        self._exp = self._log = None
-        self.generator = self._find_generator()
-        if q <= TABLE_LIMIT:
-            exp = [1] * (q - 1)
-            log = [0] * q
-            acc = 1
-            for k in range(1, q - 1):
-                acc = self._mul_poly(acc, self.generator)
-                exp[k] = acc
-                log[acc] = k
-            self._exp, self._log = exp, log
+        self._exp = self._log = self._baby = None
         self._add_table = self._neg_table = None
-        if q <= ADD_TABLE_LIMIT:
-            dig = self._digits
-            tbl = []
-            for a in range(q):
-                da = dig[a]
-                row = []
-                for b in range(q):
-                    db = dig[b]
-                    row.append(self._encode([(x + y) % p for x, y in zip(da, db)]))
-                tbl.append(row)
-            self._add_table = tbl
-            self._neg_table = [self._encode([(-x) % p for x in dig[a]]) for a in range(q)]
+        self.generator = self._find_generator()
+        if eager:
+            self._fill_tables()
+        if eager and q <= ADD_TABLE_LIMIT:
+            # with u the unit of a's lowest nonzero base-p digit, a + b is
+            # u + ((a - u) + b): each row composes two earlier rows
+            rows = [list(range(q))]
+            for a in range(1, q):
+                u = 1
+                while a % (u * p) == 0:
+                    u *= p
+                rows.append([self.add(a, b) for b in range(q)] if a == u
+                            else [rows[u][x] for x in rows[a - u]])
+            self._add_table = rows
+            self._neg_table = [row.index(0) for row in rows]
 
-    # -- encoding ----------------------------------------------------------
+    # -- encoding: base-|K| digits, the coordinates over the base ---------------
 
     def _decode(self, code):
-        p, out = self.p, []
-        for _ in range(self.d):
-            code, r = divmod(code, p)
+        kq, out = self._kq, []
+        for _ in range(self.degree):
+            code, r = divmod(code, kq)
             out.append(r)
         return tuple(out)
 
     def _encode(self, digits):
         code = 0
         for c in reversed(digits):
-            code = code * self.p + c
+            code = code * self._kq + c
         return code
 
     def coeffs(self, code):
@@ -300,10 +312,9 @@ class FiniteField:
         return self._decode(code)
 
     def encode(self, coeffs):
-        coeffs = [int(c) % self.p for c in coeffs]
-        if len(coeffs) > self.d:
+        coeffs = [int(c) % self._kq for c in coeffs]
+        if len(coeffs) > self.degree:
             raise FieldError("coefficient vector longer than the degree")
-        coeffs += [0] * (self.d - len(coeffs))
         return self._encode(coeffs)
 
     # -- arithmetic on codes -----------------------------------------------
@@ -311,34 +322,31 @@ class FiniteField:
     def add(self, a, b):
         if self._add_table is not None:
             return self._add_table[a][b]
-        da, db, p = self.coeffs(a), self.coeffs(b), self.p
-        return self._encode([(x + y) % p for x, y in zip(da, db)])
+        return self._encode(list(map(self._cadd, self.coeffs(a), self.coeffs(b))))
 
     def neg(self, a):
         if self._neg_table is not None:
             return self._neg_table[a]
-        p = self.p
-        return self._encode([(-x) % p for x in self.coeffs(a)])
+        return self._encode(list(map(self._cneg, self.coeffs(a))))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def _mul_poly(self, a, b):
-        p, d = self.p, self.d
-        da, db = self.coeffs(a), self.coeffs(b)
-        out = [0] * (2 * d - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        res = out[:d]
-        for j in range(d - 1):
-            c = out[d + j]
+        add, mul, n = self._cadd, self._cmul, self.degree
+        terms = [(j, y) for j, y in enumerate(self.coeffs(b)) if y]
+        out = [0] * (2 * n - 1)
+        for i, x in enumerate(self.coeffs(a)):
+            if x:
+                for j, y in terms:
+                    out[i + j] = add(out[i + j], mul(x, y))
+        # fold t^k, k = 2n-2 .. n, into lower terms by t^n = sum -m_i t^i
+        for k in range(2 * n - 2, n - 1, -1):
+            c = out[k]
             if c:
-                red = self._xred[j]
-                for i in range(d):
-                    res[i] = (res[i] + c * red[i]) % p
-        return self._encode(res)
+                for i, r in self._tn:
+                    out[k - n + i] = add(out[k - n + i], mul(c, r))
+        return self._encode(out[:n])
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -372,7 +380,26 @@ class FiniteField:
             return self._exp[(-self._log[a]) % (self.q - 1)]
         return self.pow(a, self.q - 2)
 
-    # -- generator, discrete log ---------------------------------------------
+    # -- modulus, generator, discrete log ------------------------------------
+
+    def _irreducible(self, f):
+        if self.base is None:
+            return poly_is_irreducible(list(f), self.p)
+        # degree 2 or 3 over K: irreducible iff f has no root in K
+        return all(self._eval(f, x) for x in range(self._kq))
+
+    def _eval(self, f, x):
+        acc = 0
+        for c in reversed(f):
+            acc = self._cadd(self._cmul(acc, x), c)
+        return acc
+
+    def _canonical_modulus(self):
+        for code in range(self.q):
+            f = self._decode(code) + (1,)  # digit i multiplies t^i
+            if self._irreducible(f):
+                return f
+        raise FieldError("no irreducible modulus found")  # pragma: no cover
 
     def _find_generator(self):
         n = self.q - 1
@@ -381,6 +408,15 @@ class FiniteField:
                 # order divides n and misses every maximal proper divisor
                 return cand
         raise FieldError("no generator found")  # pragma: no cover
+
+    def _fill_tables(self):
+        exp, log = [1] * (self.q - 1), [0] * self.q
+        acc = 1
+        for k in range(1, self.q - 1):
+            acc = self._mul_poly(acc, self.generator)
+            exp[k] = acc
+            log[acc] = k
+        self._exp, self._log = exp, log
 
     def exp(self, k):
         k %= (self.q - 1) if self.q > 2 else 1
@@ -392,16 +428,21 @@ class FiniteField:
         """Discrete log base the canonical generator."""
         if a == 0:
             raise FieldError("discrete log of zero")
+        if self._log is None and self.q <= TABLE_LIMIT:
+            self._fill_tables()
         if self._log is not None:
             return self._log[a]
         n = self.q - 1
-        m = math.isqrt(n - 1) + 1
-        baby = {}
-        t = 1
-        for j in range(m):
-            baby.setdefault(t, j)
-            t = self.mul(t, self.generator)
-        step = self.inv(t)  # generator^(-m)
+        if self._baby is None:
+            # generator^j -> j for j < m, built once per field
+            m = math.isqrt(n - 1) + 1
+            baby = {}
+            t = 1
+            for j in range(m):
+                baby.setdefault(t, j)
+                t = self.mul(t, self.generator)
+            self._baby = (m, baby, self.inv(t))  # inv(t) = generator^(-m)
+        m, baby, step = self._baby
         y = a
         for i in range(m + 1):
             if y in baby:
@@ -409,43 +450,42 @@ class FiniteField:
             y = self.mul(y, step)
         raise FieldError("discrete log failed")  # pragma: no cover
 
-    # -- trace and norm to a declared subfield -------------------------------
+    # -- trace and norm to a subfield, base-field matrices -------------------
+
+    def _frobenius_fold(self, a, e, op):
+        if self.d % e:
+            raise FieldError(f"no subfield of degree {e} in GF({self.p}^{self.d})")
+        acc = term = a
+        for _ in range(self.d // e - 1):
+            term = self.pow(term, self.p ** e)
+            acc = op(acc, term)
+        return acc
 
     def trace(self, a, e=1):
         """Trace onto the subfield GF(p^e); e must divide d."""
-        if self.d % e:
-            raise FieldError(f"no subfield of degree {e} in GF({self.p}^{self.d})")
-        qs = self.p ** e
-        acc, term = a, a
-        for _ in range(self.d // e - 1):
-            term = self.pow(term, qs)
-            acc = self.add(acc, term)
-        return acc
+        return self._frobenius_fold(a, e, self.add)
 
     def norm(self, a, e=1):
-        if self.d % e:
-            raise FieldError(f"no subfield of degree {e} in GF({self.p}^{self.d})")
-        qs = self.p ** e
-        acc, term = a, a
-        for _ in range(self.d // e - 1):
-            term = self.pow(term, qs)
-            acc = self.mul(acc, term)
-        return acc
+        return self._frobenius_fold(a, e, self.mul)
+
+    def trace_to_base(self, a):
+        """The trace down to the base field, whose codes are those of the base."""
+        return self.trace(a, self.d // self.degree)
+
+    def _matrix(self, f):
+        cols = [self.coeffs(f(self._kq ** j)) for j in range(self.degree)]
+        return tuple(zip(*cols))
+
+    def mult_matrix(self, x):
+        """Rows of the base-field matrix of y -> x*y acting on column
+        coordinate vectors in the basis {1, t, t^2, ...}."""
+        return self._matrix(lambda y: self.mul(x, y))
+
+    def frobenius_matrix(self):
+        """Base-field matrix of y -> y^|K| in the same basis."""
+        return self._matrix(lambda y: self.pow(y, self._kq))
 
     # -- misc ----------------------------------------------------------------
-
-    def _canonical_modulus(self):
-        p, d = self.p, self.d
-        for code in range(p ** d):
-            digits = []
-            c = code
-            for _ in range(d):
-                c, r = divmod(c, p)
-                digits.append(r)
-            f = list(digits) + [1]  # digits[i] multiplies t^i
-            if poly_is_irreducible(f, p):
-                return tuple(f)
-        raise FieldError("no irreducible modulus found")  # pragma: no cover
 
     def __call__(self, x):
         if isinstance(x, FieldElement):
@@ -462,14 +502,13 @@ class FiniteField:
         return (FieldElement(self, c) for c in range(self.q))
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteField) and self.p == other.p
-                and self.d == other.d and self.modulus == other.modulus)
+        return isinstance(other, FiniteField) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.p, self.d, self.modulus))
+        return hash(self._key)
 
     def __repr__(self):
-        return f"GF({self.q})" if self.d > 1 else f"GF({self.p})"
+        return f"GF({self.q})/GF({self._kq})" if self.base else f"GF({self.q})"
 
     def to_json(self):
         return {"p": self.p, "d": self.d, "modulus": list(self.modulus)}
@@ -485,189 +524,12 @@ def field_create(p, d=1, modulus=None, order_cap=DEFAULT_ORDER_CAP):
     return _field_cached(int(p), int(d), m, order_cap)
 
 
-# ---------------------------------------------------------------------------
-
-class FieldExtension:
-    """GF(q^e) built directly over a FiniteField K for e in {2, 3}.
-
-    Elements are coded as integers sum(c_i * q**i) with c_i element codes
-    of the base field, i.e. coordinates in the K-basis {1, t, t^2}.  The
-    modulus is the first monic degree-e polynomial over K (in code order)
-    without a root in K; for degree at most 3 that is irreducibility.
-    Multiplication-by-x matrices over K come straight out of this basis,
-    which is what the plane machinery needs.
-
-    The trace down to K is K-linear, so it is the dot product of an
-    element's coordinates with the basis traces Tr(1), Tr(t), Tr(t^2);
-    those are computed once, as Frobenius sums x + x^q (+ x^(q^2)).
-    """
-
-    def __init__(self, base, degree):
-        if degree not in (2, 3):
-            raise FieldError("only quadratic and cubic extensions supported")
-        self.base = base
-        self.degree = degree
-        self.order = base.q ** degree
-        if self.order > DEFAULT_ORDER_CAP:
-            raise FieldError(f"extension size {self.order} exceeds cap")
-        self.modulus = self._canonical_modulus()
-        self._factors = list(factorint(self.order - 1))
-        self.generator = self._find_generator()
-        self._log = None
-        self._basis_traces = tuple(self._frobenius_trace(self.encode([0] * i + [1]))
-                                   for i in range(degree))
-
-    def _canonical_modulus(self):
-        K, e = self.base, self.degree
-        q = K.q
-        for code in range(q ** e):
-            digits = []
-            c = code
-            for _ in range(e):
-                c, r = divmod(c, q)
-                digits.append(r)
-            f = tuple(digits) + (1,)
-            # degree 2 or 3: irreducible over K iff no root in K
-            if all(self._eval(f, x) != 0 for x in range(q)):
-                return f
-        raise FieldError("no irreducible extension modulus found")  # pragma: no cover
-
-    def _eval(self, f, x):
-        K = self.base
-        acc = 0
-        for c in reversed(f):
-            acc = K.add(K.mul(acc, x), c)
-        return acc
-
-    # -- encoding ------------------------------------------------------------
-
-    def coeffs(self, code):
-        q, out = self.base.q, []
-        for _ in range(self.degree):
-            code, r = divmod(code, q)
-            out.append(r)
-        return tuple(out)
-
-    def encode(self, coeffs):
-        code = 0
-        for c in reversed(list(coeffs)):
-            code = code * self.base.q + c
-        return code
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def add(self, a, b):
-        K = self.base
-        da, db = self.coeffs(a), self.coeffs(b)
-        return self.encode(K.add(x, y) for x, y in zip(da, db))
-
-    def neg(self, a):
-        K = self.base
-        return self.encode(K.neg(x) for x in self.coeffs(a))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        K, e = self.base, self.degree
-        da, db = self.coeffs(a), self.coeffs(b)
-        out = [0] * (2 * e - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    out[i + j] = K.add(out[i + j], K.mul(ai, bj))
-        # reduce degree e..2e-2 using the monic modulus
-        for k in range(2 * e - 2, e - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = 0
-                for i in range(e):
-                    out[k - e + i] = K.sub(out[k - e + i], K.mul(c, self.modulus[i]))
-        return self.encode(out[:e])
-
-    def pow(self, a, n):
-        n = int(n)
-        if a == 0:
-            if n < 0:
-                raise FieldError("inverse of zero")
-            return 0 if n else 1
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out, base = 1, a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            n >>= 1
-            base = self.mul(base, base)
-        return out
-
-    def inv(self, a):
-        if a == 0:
-            raise FieldError("inverse of zero")
-        return self.pow(a, self.order - 2)
-
-    def _find_generator(self):
-        n = self.order - 1
-        for cand in range(1, self.order):
-            if all(self.pow(cand, n // r) != 1 for r in self._factors):
-                return cand
-        raise FieldError("no generator found")  # pragma: no cover
-
-    def dlog(self, a):
-        if a == 0:
-            raise FieldError("discrete log of zero")
-        if self._log is None:
-            log = {}
-            acc = 1
-            for k in range(self.order - 1):
-                log[acc] = k
-                acc = self.mul(acc, self.generator)
-            self._log = log
-        return self._log[a]
-
-    def _frobenius_trace(self, a):
-        """x + x^q + ... down to the base field; returns a base code."""
-        q = self.base.q
-        acc, term = a, a
-        for _ in range(self.degree - 1):
-            term = self.pow(term, q)
-            acc = self.add(acc, term)
-        co = self.coeffs(acc)
-        if any(co[1:]):
-            raise FieldError("trace landed outside the base field")  # pragma: no cover
-        return co[0]
-
-    def trace_to_base(self, a):
-        """The trace down to the base field, as the dot product of the
-        coordinates of a with the basis traces; returns a base code."""
-        K = self.base
-        acc = 0
-        for c, tr in zip(self.coeffs(a), self._basis_traces):
-            acc = K.add(acc, K.mul(c, tr))
-        return acc
-
-    # -- K-linear maps in the basis {1, t, t^2} ------------------------------
-
-    def mult_matrix(self, x):
-        """Rows of the K-matrix of y -> x*y acting on column coordinate vectors."""
-        e = self.degree
-        cols = []
-        for j in range(e):
-            cols.append(self.coeffs(self.mul(x, self.encode([0] * j + [1]))))
-        return tuple(tuple(cols[j][i] for j in range(e)) for i in range(e))
-
-    def frobenius_matrix(self):
-        """K-matrix of y -> y^q in the same basis."""
-        e, q = self.degree, self.base.q
-        cols = [self.coeffs(self.pow(self.encode([0] * j + [1]), q)) for j in range(e)]
-        return tuple(tuple(cols[j][i] for j in range(e)) for i in range(e))
-
-    def __repr__(self):
-        return f"GF({self.order})/GF({self.base.q})"
-
-
 @functools.cache
 def field_extension(base, degree):
-    """FieldExtension(base, degree), built once per field and degree, so
-    every caller shares its lazily built log table."""
-    return FieldExtension(base, degree)
+    """FiniteField(base, degree), built once per field and degree, so every
+    caller shares the tables its first discrete log fills."""
+    return FiniteField(base, degree)
+
+
+# perfbench/tracing.py wraps dlog and trace_to_base on the class by this name
+FieldExtension = FiniteField

@@ -174,11 +174,16 @@ def _canonical_witness(group, x, y, z, w):
     return tuple(GroupElement(group, group.coords_of(i)) for i in lo + hi)
 
 
+def check_verification_cap(n):
+    """Raise GroupError when is_sidon refuses a group of order n."""
+    if n > ORDER_CAP:
+        raise GroupError(f"group order {n} exceeds verification cap {ORDER_CAP}")
+
+
 def is_sidon(group, S):
     """Exact Sidon verdict with witness, energy and (lazy) T-set."""
     n = group.order
-    if n > ORDER_CAP:
-        raise GroupError(f"group order {n} exceeds verification cap {ORDER_CAP}")
+    check_verification_cap(n)
     # index order is coordinate order, so the first repeat and its witness
     # are those of the coordinate tuples
     idxs = sorted({group.element(s).index for s in S})

@@ -118,6 +118,16 @@ def test_develop_fails_fast(capsys):
     assert list(j) == ["error"] and "exceeds the cap" in j["error"]
 
 
+def test_construct_refuses_over_cap_before_building(capsys):
+    # |G| = q(q - 1) > 2^32 for spence over GF(65537): the parameter formula
+    # exceeds the verification cap, so no discrete log is taken
+    t0 = time.perf_counter()
+    code, j = run_json(capsys, "construct", "spence", "65537")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert j == {"error": "group order 4295032832 exceeds verification cap 16777216"}
+
+
 def test_planes_list_show_orbits(capsys):
     code, j = run_json(capsys, "planes", "list")
     assert code == 0

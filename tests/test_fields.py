@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import frobenius_trace
 from sidonkit.fields import (
+    TABLE_LIMIT,
     FieldError,
     FieldExtension,
     FiniteField,
     field_create,
+    field_extension,
     poly_is_irreducible,
 )
 
@@ -139,7 +141,7 @@ def test_element_wrapper_arithmetic():
 def test_extension_tower():
     K = field_create(3, 1)
     E = FieldExtension(K, 3)
-    assert E.order == 27
+    assert E.q == 27
     # the declared generator has full multiplicative order
     acc, seen = 1, set()
     for _ in range(26):
@@ -151,7 +153,7 @@ def test_extension_tower():
 def test_extension_trace_lands_in_base():
     K = field_create(2, 2)
     E = FieldExtension(K, 3)
-    traces = [E.trace_to_base(x) for x in range(E.order)]
+    traces = [E.trace_to_base(x) for x in range(E.q)]
     assert all(0 <= t < K.q for t in traces)
     assert set(traces) == set(range(K.q))
 
@@ -169,7 +171,7 @@ def extension(p, d, degree):
 @pytest.mark.parametrize("p,d", SMALL_BASES)
 def test_linear_trace_matches_frobenius_sum(p, d, degree):
     E = extension(p, d, degree)
-    for x in range(E.order):
+    for x in range(E.q):
         assert E.trace_to_base(x) == frobenius_trace(E, x)
 
 
@@ -181,7 +183,7 @@ def test_linear_trace_is_the_k_linear_frobenius_sum(pd, degree, data):
     # for a base scalar c, and each trace equals the Frobenius sum
     E = extension(*pd, degree)
     K = E.base
-    x, y = (data.draw(st.integers(0, E.order - 1)) for _ in range(2))
+    x, y = (data.draw(st.integers(0, E.q - 1)) for _ in range(2))
     c = data.draw(st.integers(0, K.q - 1))
     for a in (x, y):
         assert E.trace_to_base(a) == frobenius_trace(E, a)
@@ -209,6 +211,103 @@ def test_extension_mult_matrix_is_multiplicative():
             acc = K.add(acc, K.mul(x, y))
         return acc
 
-    for x in range(1, E.order):
-        for y in range(1, E.order):
+    for x in range(1, E.q):
+        for y in range(1, E.q):
             assert matmul(E.mult_matrix(x), E.mult_matrix(y)) == E.mult_matrix(E.mul(x, y))
+
+
+# (|K|, e): (modulus, generator, mult_matrix(generator), frobenius_matrix())
+# of the degree-e extension of K, as built before extensions became
+# ordinary FiniteFields: codes sum(c_i * |K|^i), the first rootless monic
+# modulus in code order, the first code of full order
+EXTENSION_PINS = {
+    (2, 2): ((1, 1, 1), 2, ((0, 1), (1, 1)), ((1, 1), (0, 1))),
+    (2, 3): ((1, 1, 0, 1), 2, ((0, 0, 1), (1, 0, 1), (0, 1, 0)),
+             ((1, 0, 0), (0, 0, 1), (0, 1, 1))),
+    (3, 2): ((1, 0, 1), 4, ((1, 2), (1, 1)), ((1, 0), (0, 2))),
+    (3, 3): ((1, 2, 0, 1), 3, ((0, 0, 2), (1, 0, 1), (0, 1, 0)),
+             ((1, 2, 1), (0, 1, 1), (0, 0, 1))),
+    (4, 2): ((2, 1, 1), 4, ((0, 2), (1, 1)), ((1, 1), (0, 1))),
+    (4, 3): ((2, 0, 0, 1), 5, ((1, 0, 2), (1, 1, 0), (0, 1, 1)),
+             ((1, 0, 0), (0, 2, 0), (0, 0, 3))),
+    (5, 2): ((2, 0, 1), 6, ((1, 3), (1, 1)), ((1, 0), (0, 4))),
+    (5, 3): ((1, 1, 0, 1), 9, ((4, 0, 4), (1, 4, 4), (0, 1, 4)),
+             ((1, 1, 3), (0, 1, 3), (0, 4, 3))),
+    (7, 2): ((1, 0, 1), 9, ((2, 6), (1, 2)), ((1, 0), (0, 6))),
+    (7, 3): ((2, 0, 0, 1), 22, ((1, 0, 1), (3, 1, 0), (0, 3, 1)),
+             ((1, 0, 0), (0, 4, 0), (0, 0, 2))),
+    (8, 2): ((1, 1, 1), 10, ((2, 1), (1, 3)), ((1, 1), (0, 1))),
+    (8, 3): ((2, 1, 0, 1), 8, ((0, 0, 2), (1, 0, 1), (0, 1, 0)),
+             ((1, 0, 0), (0, 2, 5), (0, 5, 3))),
+    (9, 2): ((4, 0, 1), 10, ((1, 8), (1, 1)), ((1, 0), (0, 2))),
+    (9, 3): ((3, 1, 0, 1), 10, ((1, 0, 6), (1, 1, 2), (0, 1, 1)),
+             ((1, 6, 2), (0, 1, 3), (0, 0, 1))),
+    (11, 2): ((1, 0, 1), 15, ((4, 10), (1, 4)), ((1, 0), (0, 10))),
+    (11, 3): ((4, 1, 0, 1), 11, ((0, 0, 7), (1, 0, 10), (0, 1, 0)),
+              ((1, 1, 5), (0, 7, 6), (0, 7, 3))),
+    (13, 2): ((2, 0, 1), 15, ((2, 11), (1, 2)), ((1, 0), (0, 12))),
+    (13, 3): ((2, 0, 0, 1), 15, ((2, 0, 11), (1, 2, 0), (0, 1, 2)),
+              ((1, 0, 0), (0, 3, 0), (0, 0, 9))),
+    (16, 2): ((8, 1, 1), 18, ((2, 8), (1, 3)), ((1, 1), (0, 1))),
+    (16, 3): ((2, 0, 0, 1), 17, ((1, 0, 2), (1, 1, 0), (0, 1, 1)),
+              ((1, 0, 0), (0, 6, 0), (0, 0, 7))),
+    (31, 2): ((1, 0, 1), 35, ((4, 30), (1, 4)), ((1, 0), (0, 30))),
+    (31, 3): ((3, 0, 0, 1), 34, ((3, 0, 28), (1, 3, 0), (0, 1, 3)),
+              ((1, 0, 0), (0, 25, 0), (0, 0, 5))),
+}
+
+BASE_PD = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+           9: (3, 2), 11: (11, 1), 13: (13, 1), 16: (2, 4), 31: (31, 1)}
+
+
+@pytest.mark.parametrize("kq,degree", sorted(EXTENSION_PINS))
+def test_extension_data_is_pinned(kq, degree):
+    L = field_extension(field_create(*BASE_PD[kq]), degree)
+    assert (L.modulus, L.generator, L.mult_matrix(L.generator),
+            L.frobenius_matrix()) == EXTENSION_PINS[kq, degree]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.sampled_from([2, 3]), st.data())
+def test_extension_of_a_prime_field_is_the_prime_power_field(p, degree, data):
+    L, F = field_extension(field_create(p, 1), degree), field_create(p, degree)
+    assert (L.modulus, L.generator) == (F.modulus, F.generator)
+    x, y = (data.draw(st.integers(0, F.q - 1)) for _ in range(2))
+    assert L.mul(x, y) == F.mul(x, y)
+
+
+def test_element_hash_agrees_with_equality():
+    F = field_create(3, 1)
+    assert F(1) == 1 and 1 in {F(1)} and F(1) in {1}
+    assert F(1) != 4
+    G = field_create(3, 2)
+    assert all(hash(G(c)) == hash(c) and G(c) == c for c in range(3))
+    assert {G(c) for c in range(9)} == set(G.elements())
+
+
+def test_field_equality_includes_the_base():
+    # GF(64) over GF(2), GF(4) and GF(8) read the same code differently
+    towers = [field_create(2, 6), field_extension(field_create(2, 2), 3),
+              field_extension(field_create(2, 3), 2)]
+    assert len(set(towers)) == 3
+    assert len({L(5) for L in towers}) == 3
+    assert towers[1] == FiniteField(field_create(2, 2), 3)
+    assert hash(towers[1]) == hash(FiniteField(field_create(2, 2), 3))
+
+
+def test_tracer_wraps_extension_methods_on_the_class():
+    # perfbench/tracing.py wraps these two methods from the class __dict__
+    assert {"dlog", "trace_to_base"} <= set(FieldExtension.__dict__)
+
+
+@pytest.mark.parametrize("make", [lambda: field_create(65537),
+                                  lambda: field_extension(field_create(257), 2)])
+def test_dlog_above_the_table_limit(make):
+    # fields past TABLE_LIMIT keep no exp/log tables: baby-step giant-step
+    F = make()
+    assert F.q > TABLE_LIMIT
+    rng = random.Random(3)
+    for a in [1, F.generator, F.q - 1] + [rng.randrange(1, F.q) for _ in range(20)]:
+        k = F.dlog(a)
+        assert 0 <= k < F.q - 1 and F.pow(F.generator, k) == a
+    assert F._exp is None
