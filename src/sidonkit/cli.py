@@ -33,6 +33,7 @@ from .pell import PellError
 from .planes3 import (
     FAMILY_TAGS,
     PlaneError,
+    check_plane_cap,
     extract_sidon,
     family_build,
     orbit_analysis,
@@ -93,10 +94,6 @@ def _prime_power(q):
     if pd is None:
         raise FieldError(f"{q} is not a prime power")
     return pd
-
-
-def _field(q):
-    return field_create(*_prime_power(q))
 
 
 def _parse_group(text):
@@ -201,12 +198,15 @@ def cmd_planes(args):
     if args.action == "list":
         _emit({"families": list(FAMILY_TAGS)})
         return EXIT_OK
-    F = _field(args.q)
+    pd = _prime_power(args.q)
+    if args.action != "recover" and args.family is None:
+        raise PlaneError(f"planes {args.action} needs --family")
+    # refused from Q alone, before the field's tables are built
+    check_plane_cap(args.q)
+    F = field_create(*pd)
     if args.action == "recover":
         _emit({"q": F.q, "recovery": recover_constructions(F)})
         return EXIT_OK
-    if args.family is None:
-        raise PlaneError(f"planes {args.action} needs --family")
     action = family_build(F, args.family)
     if args.action == "show":
         payload = action.to_json()

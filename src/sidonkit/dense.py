@@ -34,7 +34,7 @@ def _erdos_turan(F):
     if F.p == 2:
         raise ConstructionError("parabola construction needs odd characteristic")
     group = AbelianGroup((F.p,) * (2 * F.d))
-    S = {group.element(F.coeffs(x) + F.coeffs(F.mul(x, x))) for x in range(F.q)}
+    S = {group.element(F.prime_coeffs(x) + F.prime_coeffs(F.mul(x, x))) for x in range(F.q)}
     return group, S, "K^2 with K = GF(%d) coded coefficientwise; S = {(x, x^2)}" % F.q
 
 
@@ -83,7 +83,7 @@ def _bose(F):
 def _spence(F):
     moduli = (F.q - 1,) + (F.p,) * F.d
     group, convert = invariant_factor_form(moduli)
-    S = {convert((F.dlog(x),) + F.coeffs(x)) for x in range(1, F.q)}
+    S = {convert((F.dlog(x),) + F.prime_coeffs(x)) for x in range(1, F.q)}
     return group, S, ("K^x x K with K^x coded by discrete log, K by "
                       "coefficients, then regrouped to invariant factors")
 
@@ -248,7 +248,7 @@ def planar_graph(candidate):
     F = candidate.field
     group = AbelianGroup((F.p,) * (2 * F.d))
     vals = candidate.values()
-    S = {group.element(F.coeffs(x) + F.coeffs(vals[x])) for x in range(F.q)}
+    S = {group.element(F.prime_coeffs(x) + F.prime_coeffs(vals[x])) for x in range(F.q)}
     return group, S, f"graph of {candidate!r} in K^2, coefficient coding"
 
 
@@ -301,9 +301,9 @@ def is_nondegenerate(beta):
     q, p, d = F.q, F.p, F.d
     if not beta.additive:
         return all(beta(x, y) != 0 for x in range(1, q) for y in range(1, q))
-    basis = [p ** j for j in range(d)]  # codes of 1, t, ..., t^(d-1)
+    basis = [p ** j for j in range(d)]  # a basis over GF(p), see prime_coeffs
     for x in range(1, q):
-        rows = [list(F.coeffs(beta(x, b))) for b in basis]
+        rows = [list(F.prime_coeffs(beta(x, b))) for b in basis]
         if _rank_mod_p(rows, p) < d:
             return False
     return True

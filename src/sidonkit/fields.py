@@ -311,6 +311,17 @@ class FiniteField:
             return self._digits[code]
         return self._decode(code)
 
+    def prime_coeffs(self, code):
+        """The d base-p digits of a code, lowest first: its coordinates over
+        GF(p), since |K| is a power of p.  Over a prime this is coeffs."""
+        if self.base is None:
+            return self.coeffs(code)
+        p, out = self.p, []
+        for _ in range(self.d):
+            code, r = divmod(code, p)
+            out.append(r)
+        return tuple(out)
+
     def encode(self, coeffs):
         coeffs = [int(c) % self._kq for c in coeffs]
         if len(coeffs) > self.degree:

@@ -299,14 +299,6 @@ def endo_apply(group, images, coords):
     return acc
 
 
-def automorphism_perm(group, images):
-    """The automorphism as an index permutation over the whole group."""
-    perm = [0] * group.order
-    for idx in range(group.order):
-        perm[idx] = group.index_of(endo_apply(group, images, group.coords_of(idx)))
-    return perm
-
-
 # ---------------------------------------------------------------------------
 # recognizing an abstract abelian group handed to us as elements + operation
 

@@ -247,6 +247,12 @@ def _orbits(perms, n):
     return orbits, orbit_of
 
 
+def check_plane_cap(q):
+    """Raise PlaneError when family_build refuses plane order q."""
+    if q > PLANE_CAP:
+        raise PlaneError(f"plane order {q} above cap {PLANE_CAP}")
+
+
 def plane_build(field, cap=PLANE_CAP):
     """P^2(K) as an incidence structure: q^2+q+1 points and lines."""
     if field.q > cap:
@@ -259,9 +265,9 @@ def plane_build(field, cap=PLANE_CAP):
 # matrix per natural modulus
 
 def _basis(F):
-    """K's additive basis over GF(p): the codes of the unit coefficient
-    vectors, in the order F.encode reads coordinates."""
-    return [F.encode([0] * i + [1]) for i in range(F.d)]
+    """K's additive basis over GF(p): the codes p^i, whose coordinates
+    over GF(p) (F.prime_coeffs) are the unit vectors."""
+    return [F.p ** i for i in range(F.d)]
 
 
 def _family_i(F):
@@ -484,8 +490,7 @@ def family_build(field, tag):
     key = str(tag).lower()
     if key not in _FAMILIES:
         raise PlaneError(f"unknown family tag {tag!r}; use one of {FAMILY_TAGS}")
-    if field.q > PLANE_CAP:
-        raise PlaneError(f"plane order {field.q} above cap {PLANE_CAP}")
+    check_plane_cap(field.q)
     moduli, gens, note = _FAMILIES[key](field)
     return PlaneAction(field, key, moduli, gens, note)
 
@@ -620,8 +625,8 @@ def recover_constructions(field):
         if not is_sidon(group, ext.S).sidon:
             raise PlaneError(f"extraction for {tag} is not Sidon")  # pragma: no cover
         match = affine_equivalent(group, ext.S, S)
-        log.info("GF(%d) family %s vs %s: %d candidates tried, sift fallback %s",
-                 field.q, tag, name, match.candidates, "ran" if match.sifted else "not run")
+        log.info("GF(%d) family %s vs %s: %d candidates tried",
+                 field.q, tag, name, match.candidates)
         entry.update({
             "group": group.to_json(),
             "extracted": [g.to_json() for g in sorted(ext.S)],

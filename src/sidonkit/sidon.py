@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 
-from .groups import GroupElement, GroupError, automorphisms, endo_apply
+from .groups import GroupElement, GroupError, endo_apply
 
 ORDER_CAP = 1 << 24
 
@@ -321,17 +321,15 @@ class AffineResult:
 
     images are the coords of phi at the canonical generators.  The search
     is exhaustive, so the answer is always conclusive.  candidates counts
-    the maps checked in full and sifted tells whether the search had to
-    sift all automorphisms; neither goes into to_json.
+    the maps checked in full; it does not go into to_json.
     """
 
     conclusive = True
 
-    def __init__(self, images, translation, candidates, sifted):
+    def __init__(self, images, translation, candidates):
         self.images = images
         self.translation = translation
         self.candidates = candidates
-        self.sifted = sifted
 
     def __bool__(self):
         return self.images is not None
@@ -344,27 +342,17 @@ class AffineResult:
         }
 
 
-def _match_translation(group, images, set1, set2):
-    anchor = next(iter(set1))
-    img = {endo_apply(group, images, s) for s in set1}
-    base = endo_apply(group, images, anchor)
-    for s2 in set2:
-        c = group.sub_coords(s2, base)
-        if {group.add_coords(x, c) for x in img} == set2:
-            return c
-    return None
-
-
 def _order(group, coords):
     return GroupElement(group, coords).order()
 
 
-def _difference_basis(group, D1):
-    """Greedy generating subset B of D1, largest orders first, and a word
-    over B (coefficient tuple) for every element of span(B)."""
+def _difference_basis(group, D1, units):
+    """Greedy generating subset B of D1, largest orders first, followed by
+    the canonical generators outside span(B), and a word over that basis
+    (coefficient tuple) for every element of the group."""
     words = {(0,) * group.rank: ()}
     basis = []
-    for d in sorted(D1, key=lambda x: (-_order(group, x), x)):
+    for d in sorted(D1, key=lambda x: (-_order(group, x), x)) + units:
         if d in words:
             continue
         # span + <d> is the disjoint union of the cosets span + k d, k < m
@@ -387,13 +375,14 @@ def affine_equivalent(group, S1, S2):
     phi(S1) + c = S2; the answer is always conclusive.
 
     If they do, phi maps D1 = S1 - s1 onto D2 = S2 - s2 for the fixed
-    anchor s1 and some s2 in S2.  When D1 generates the group, phi is
-    fixed by its values on a generating subset B of D1, so a search over
-    images of B inside each D2 (distinct, of matching order, and pruned
-    as soon as an element of D1 in the span so far leaves D2) finds every
-    candidate; each one is accepted only after it is checked to be an
-    automorphism with phi(S1) + c = S2.  When D1 generates a proper
-    subgroup, all automorphisms are sifted instead.
+    anchor s1 and some s2 in S2.  One search covers every input: phi is
+    fixed by its values on a generating subset B of D1 completed by the
+    canonical generators outside span(B).  An element of B goes to a
+    distinct element of D2 of its order, and the search is pruned as soon
+    as an element of D1 in the span so far leaves D2; a canonical
+    generator goes to any element of the group of its order.  Each
+    candidate is accepted only after it is checked to be an automorphism
+    with phi(S1) + c = S2.
     """
     set1 = {group.element(s).coords for s in S1}
     set2 = {group.element(s).coords for s in S2}
@@ -401,20 +390,11 @@ def affine_equivalent(group, S1, S2):
         raise GroupError("affine equivalence needs |S1| = |S2|")
     units = [tuple(int(i == j) for j in range(group.rank)) for i in range(group.rank)]
     if not set1:
-        return AffineResult(tuple(units), group.zero, 0, False)
+        return AffineResult(tuple(units), group.zero, 0)
 
     s1 = min(set1)
     D1 = {group.sub_coords(x, s1) for x in set1}
-    basis, words = _difference_basis(group, D1)
-    if len(words) < group.order:
-        tried = 0
-        for images in automorphisms(group):
-            tried += 1
-            c = _match_translation(group, images, set1, set2)
-            if c is not None:
-                return AffineResult(images, GroupElement(group, c), tried, True)
-        return AffineResult(None, None, tried, True)
-
+    basis, words = _difference_basis(group, D1, units)
     zero = (0,) * group.rank
     r = len(basis)
     # D1 elements first reached at each level j: their words use b_1..b_j only
@@ -423,6 +403,14 @@ def affine_equivalent(group, S1, S2):
         w = words[x]
         level[max((j + 1 for j in range(r) if w[j]), default=0)].append((x, w))
     orders = [_order(group, b) for b in basis]
+    # images of the canonical generators completing the basis, by order
+    pool = {}
+    wanted = {o for b, o in zip(basis, orders) if b not in D1}
+    if wanted:
+        for x in itertools.product(*map(range, group.factors)):
+            o = _order(group, x)
+            if o in wanted:
+                pool.setdefault(o, []).append(x)
     gens = [words[e] for e in units]
     images = [None] * r
     tried = 0
@@ -438,12 +426,13 @@ def affine_equivalent(group, S1, S2):
             return None
         if len(group.span([group.index_of(img) for img in phi])) != group.order:
             return None
-        return AffineResult(phi, GroupElement(group, c), tried, False)
+        return AffineResult(phi, GroupElement(group, c), tried)
 
     def assign(j, D2, by_order, used, s2):
         if j == r:
             return complete(s2)
-        for y in by_order.get(orders[j], ()):
+        pick = by_order if basis[j] in D1 else pool
+        for y in pick.get(orders[j], ()):
             images[j] = y
             fresh = set()
             for x, w in level[j + 1]:
@@ -465,4 +454,4 @@ def affine_equivalent(group, S1, S2):
         found = assign(0, D2, by_order, {zero}, s2)
         if found is not None:
             return found
-    return AffineResult(None, None, tried, False)
+    return AffineResult(None, None, tried)

@@ -371,7 +371,7 @@ def cubic_graph(q, subset=None):
     d = field.d
     group = AbelianGroup((field.p,) * (2 * d))
     values = [
-        group.element(field.coeffs(x.code) + field.coeffs((x * x * x).code))
+        group.element(field.prime_coeffs(x.code) + field.prime_coeffs((x * x * x).code))
         for x in subset
     ]
     report = is_sidon(group, values)

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import strategies as st
 
 from sidonkit.fields import field_extension
-from sidonkit.groups import AbelianGroup
+from sidonkit.groups import AbelianGroup, automorphisms, endo_apply
 from sidonkit.incidence import (
     PlaneCheck,
     _general_quad,
@@ -167,6 +167,31 @@ def brute_adjacency(group, idxs):
     on = [[group.sub_coords(coords[p], coords[l]) in S for l in range(n)] for p in range(n)]
     return (tuple(tuple(p for p in range(n) if on[p][l]) for l in range(n)),
             tuple(tuple(l for l in range(n) if on[p][l]) for p in range(n)))
+
+
+@functools.cache
+def automorphism_list(factors):
+    """automorphisms() of the group with these invariant factors, listed
+    once."""
+    return tuple(automorphisms(AbelianGroup(factors)))
+
+
+def brute_affine(group, set1, set2):
+    """Reference affine equivalence of two sets of coordinate tuples: every
+    automorphism from automorphisms() (listed once per group) with every
+    translation c that sends its image of one element of the nonempty set1
+    onto an element of set2.  Returns the first (images, c) with phi(set1)
+    + c = set2, or None."""
+    set1, set2 = set(set1), set(set2)
+    anchor = next(iter(set1))
+    for images in automorphism_list(group.factors):
+        img = {endo_apply(group, images, s) for s in set1}
+        base = endo_apply(group, images, anchor)
+        for s2 in set2:
+            c = group.sub_coords(s2, base)
+            if {group.add_coords(x, c) for x in img} == set2:
+                return images, c
+    return None
 
 
 def brute_max(group):

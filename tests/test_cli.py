@@ -128,6 +128,26 @@ def test_construct_refuses_over_cap_before_building(capsys):
     assert j == {"error": "group order 4295032832 exceeds verification cap 16777216"}
 
 
+@pytest.mark.parametrize("argv,error", [
+    (("show", "--family", "i", "--q", "65536"), "plane order 65536 above cap 64"),
+    (("orbits", "--family", "vii", "--q", "59049"), "plane order 59049 above cap 64"),
+    (("extract", "--family", "ii", "--q", "128"), "plane order 128 above cap 64"),
+    (("recover", "--q", "65536"), "plane order 65536 above cap 64"),
+    (("show", "--family", "i", "--q", "100"), "100 is not a prime power"),
+])
+def test_planes_refuses_before_building_the_field(capsys, monkeypatch, argv, error):
+    # the prime-power test comes first, then the plane order cap, known
+    # from Q alone, so GF(Q) is never built
+    def no_field(*args):
+        raise AssertionError("field built before the cap check")
+
+    monkeypatch.setattr("sidonkit.cli.field_create", no_field)
+    t0 = time.perf_counter()
+    code, j = run_json(capsys, "planes", *argv)
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, j) == (2, {"error": error})
+
+
 def test_planes_list_show_orbits(capsys):
     code, j = run_json(capsys, "planes", "list")
     assert code == 0

@@ -14,8 +14,14 @@ from sidonkit.dense import (
     planar_graph,
     polarization,
 )
-from sidonkit.fields import FieldExtension, field_create
-from sidonkit.sidon import counting_bound, is_perfect_difference_set, is_sidon
+from sidonkit.fields import FieldExtension, field_create, field_extension
+from sidonkit.groups import AbelianGroup
+from sidonkit.sidon import (
+    affine_equivalent,
+    counting_bound,
+    is_perfect_difference_set,
+    is_sidon,
+)
 
 FIELDS = {q: field_create(p, d) for q, (p, d) in
           {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
@@ -234,3 +240,39 @@ def test_planarity_equals_nondegeneracy_for_forms():
 def test_from_table_requires_full_table():
     with pytest.raises(ConstructionError):
         PlanarCandidate.from_table(FIELDS[5], [0, 1, 2])
+
+
+# a field built over K reads GF(p) coordinates as the base-p digits of its
+# codes; each result is set against the same field built from its prime
+
+GF81_OVER_GF9 = field_extension(field_create(3, 2), 2)
+
+
+def test_nondegenerate_square_over_a_field_built_over_k():
+    for F in (GF81_OVER_GF9, field_create(3, 4)):
+        beta = polarization(PlanarCandidate.quadratic_form(F, {(0, 0): 1}))
+        assert is_nondegenerate(beta)
+        assert all(beta(x, y) for x in range(1, F.q) for y in range(1, F.q))
+
+
+def test_planar_graph_over_a_field_built_over_k():
+    # the field isomorphism is GF(p)-linear, so the two graphs of x^2 are
+    # affinely equivalent in (Z/3)^8
+    graphs = [planar_graph(PlanarCandidate.quadratic_form(F, {(0, 0): 1}))
+              for F in (GF81_OVER_GF9, field_create(3, 4))]
+    (group, S1, _), (group2, S2, _) = graphs
+    assert group == group2 == AbelianGroup((3,) * 8)
+    assert len(S1) == 81 and is_sidon(group, S1).sidon
+    assert affine_equivalent(group, S1, S2)
+
+
+@pytest.mark.parametrize("name,K,degree,p,d", [
+    ("spence", field_create(2, 2), 2, 2, 4),
+    ("erdos_turan", field_create(3, 2), 2, 3, 4),
+])
+def test_coefficient_coded_constructions_over_a_field_built_over_k(name, K, degree, p, d):
+    group, S1, _ = construct_dense(name, field_extension(K, degree))
+    group2, S2, _ = construct_dense(name, field_create(p, d))
+    assert group == group2
+    assert is_sidon(group, S1).sidon
+    assert affine_equivalent(group, S1, S2)

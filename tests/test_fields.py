@@ -311,3 +311,28 @@ def test_dlog_above_the_table_limit(make):
         k = F.dlog(a)
         assert 0 <= k < F.q - 1 and F.pow(F.generator, k) == a
     assert F._exp is None
+
+
+@pytest.mark.parametrize("p,d", [(2, 4), (3, 2), (5, 1), (7, 2)])
+def test_prime_coeffs_over_a_prime_are_coeffs(p, d):
+    F = field_create(p, d)
+    assert all(F.prime_coeffs(c) == F.coeffs(c) for c in range(F.q))
+
+
+@pytest.mark.parametrize("kq,degree", [(4, 2), (4, 3), (8, 2), (9, 2), (25, 2)])
+def test_prime_coeffs_over_a_field_are_base_p_digits(kq, degree):
+    # the d base-p digits of a code: K's own digits of each coordinate over
+    # K, one after the other, and GF(p)-linear as the prime field's are
+    K = {4: field_create(2, 2), 8: field_create(2, 3), 9: field_create(3, 2),
+         25: field_create(5, 2)}[kq]
+    L = field_extension(K, degree)
+    p = L.p
+    rng = random.Random(kq * 10 + degree)
+    for _ in range(200):
+        a, b = rng.randrange(L.q), rng.randrange(L.q)
+        digits = L.prime_coeffs(a)
+        assert len(digits) == L.d
+        assert sum(c * p ** i for i, c in enumerate(digits)) == a
+        assert digits == sum((K.prime_coeffs(c) for c in L.coeffs(a)), ())
+        assert L.prime_coeffs(L.add(a, b)) == tuple(
+            (x + y) % p for x, y in zip(digits, L.prime_coeffs(b)))

@@ -11,7 +11,6 @@ from sidonkit.groups import (
     GroupError,
     GroupPresentation,
     abelian_basis,
-    automorphism_perm,
     automorphisms,
     invariant_factor_form,
 )
@@ -155,23 +154,6 @@ def test_span_matches_tuple_closure(data):
 ])
 def test_automorphism_counts(factors, count):
     assert sum(1 for _ in automorphisms(AbelianGroup(factors))) == count
-
-
-def test_automorphism_perm_is_additive_bijection():
-    G = AbelianGroup((3, 3))
-    images = next(iter(automorphisms(G)))
-    perm = automorphism_perm(G, images)
-    assert sorted(perm) == list(range(9))
-    assert perm[0] == 0
-    for i in range(9):
-        for j in range(9):
-            k = G.index_of(G.add_coords(G.coords_of(i), G.coords_of(j)))
-            assert perm[k] == G.index_of(
-                G.add_coords(G.coords_of(perm[i]), G.coords_of(perm[j])))
-
-
-def test_automorphism_perm_anchor():
-    assert automorphism_perm(AbelianGroup((5,)), [(2,)]) == [0, 2, 4, 1, 3]
 
 
 def test_abelian_basis_reconstructs_unit_group():

@@ -20,7 +20,7 @@ from conftest import (
     brute_point_witness,
 )
 from sidonkit.cli import main
-from sidonkit.fields import field_create
+from sidonkit.fields import field_create, field_extension
 from sidonkit.incidence import is_projective_plane
 from sidonkit.planes3 import (
     FAMILY_TAGS,
@@ -90,6 +90,27 @@ def test_orbit_counts(field, tag):
     sizes = sorted(len(o) for o in orb.point_orbits)
     assert sum(sizes) == field.q ** 2 + field.q + 1
     assert sizes == sorted(len(o) for o in orb.line_orbits)
+
+
+@pytest.mark.parametrize("tag", ["iv", "v", "vi", "vii"])
+def test_families_over_a_field_built_over_k(tag):
+    # GF(16) over GF(4) against GF(16) over GF(2): the translations run over
+    # the GF(2)-basis of codes 2^i, and the two actions are conjugate
+    a, b = actions = [family_build(F, tag) for F in (field_extension(F4, 2), field_create(2, 4))]
+    assert a.group == b.group and a.moduli == b.moduli
+    orbits = [orbit_analysis(action).to_json() for action in actions]
+    for key in ("t", "point_orbit_sizes", "line_orbit_sizes"):
+        assert orbits[0][key] == orbits[1][key]
+    outcomes = []
+    for action in actions:
+        try:
+            ext = extract_sidon(action)
+        except PlaneError as exc:
+            outcomes.append(str(exc).split(" has ")[-1])
+        else:
+            assert is_sidon(action.group, ext.S).sidon
+            outcomes.append((len(ext.S), ext.d))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_orbit_line_point_symmetry_family_iii():
@@ -290,14 +311,14 @@ def test_recover_q3_and_q5_all_equivalent():
 
 def test_recover_logs_candidates_per_family(caplog):
     # over GF(3) family iii extracts a single point, whose differences
-    # generate nothing, so only that family needs the automorphism sift
+    # generate nothing, so the canonical generators alone carry its search
     with caplog.at_level(logging.INFO, logger="sidonkit"):
         recover_constructions(F3)
     lines = [r.getMessage() for r in caplog.records if r.name == "sidonkit.planes3"]
-    assert len(lines) == 5
-    assert all("candidates tried" in line for line in lines)
-    assert ["sift fallback ran" in line for line in lines] == [
-        False, False, True, False, False]
+    assert lines == [f"GF(3) family {tag} vs {name}: {n} candidates tried"
+                     for tag, name, n in [("i", "singer", 1), ("ii", "bose", 1),
+                                          ("iii", "hughes", 2), ("iv", "spence", 1),
+                                          ("v", "erdos_turan", 1)]]
 
 
 def test_recover_q4_skips_parabola():

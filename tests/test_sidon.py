@@ -1,4 +1,3 @@
-import functools
 import io
 import itertools
 import json
@@ -9,10 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import block_edge_instance, brute_sidon, cyclic, els
-from sidonkit.groups import AbelianGroup, GroupError, automorphisms, endo_apply
+from conftest import (
+    automorphism_list,
+    block_edge_instance,
+    brute_affine,
+    brute_sidon,
+    cyclic,
+    els,
+)
+from sidonkit.groups import AbelianGroup, GroupError, endo_apply
 from sidonkit.sidon import (
-    _match_translation,
     affine_equivalent,
     counting_bound,
     is_perfect_difference_set,
@@ -305,28 +310,21 @@ def test_affine_equivalent_empty_sets_give_identity():
     assert res and res.images == ((1, 0), (0, 1)) and res.translation == G.zero
 
 
-# property tests against the brute-force oracle: every automorphism
-# (automorphisms() sift) tried with every translation (_match_translation)
+# property tests against the brute-force oracle: every automorphism tried
+# with every translation (brute_affine)
 
 SMALL_GROUPS = [(7,), (12,), (2, 2), (2, 4), (3, 3), (2, 6), (4, 4),
                 (2, 2, 2), (3, 9), (2, 2, 4), (6, 6)]    # |Aut| <= 288
-
-
-@functools.cache
-def _auts(factors):
-    return tuple(automorphisms(AbelianGroup(factors)))
 
 
 def _check_against_oracle(G, S1, S2):
     res = affine_equivalent(G, S1, S2)
     set1 = {s.coords for s in S1}
     set2 = {s.coords for s in S2}
-    oracle = any(_match_translation(G, a, set1, set2) is not None
-                 for a in _auts(G.factors))
     assert res.conclusive
-    assert bool(res) == oracle
+    assert bool(res) == (brute_affine(G, set1, set2) is not None)
     if res:
-        assert res.images in _auts(G.factors)
+        assert res.images in automorphism_list(G.factors)
         mapped = {G.add_coords(endo_apply(G, res.images, s), res.translation.coords)
                   for s in set1}
         assert mapped == set2
@@ -342,7 +340,7 @@ def group_and_set(draw):
 
 
 def _planted_image(G, S1, data):
-    a = data.draw(st.sampled_from(_auts(G.factors)))
+    a = data.draw(st.sampled_from(automorphism_list(G.factors)))
     c = G.element(G.coords_of(data.draw(st.integers(0, G.order - 1))))
     return [G.element(endo_apply(G, a, s.coords)) + c for s in S1]
 
@@ -365,9 +363,9 @@ def test_affine_equivalent_matches_oracle_on_random_pairs(gs, data):
 
 @settings(deadline=None)
 @given(st.data())
-def test_affine_equivalent_sifts_when_differences_miss_generators(data):
+def test_affine_equivalent_completes_basis_when_differences_miss_generators(data):
     # S1 inside a coset of the proper subgroup <h>, so S1 - S1 cannot
-    # generate the group and the automorphism sift decides
+    # generate the group and the canonical generators complete the basis
     G = AbelianGroup(data.draw(st.sampled_from(SMALL_GROUPS)))
     h = G.element(G.coords_of(data.draw(st.integers(0, G.order - 1))))
     assume(h.order() < G.order)
@@ -380,7 +378,7 @@ def test_affine_equivalent_sifts_when_differences_miss_generators(data):
         idxs = data.draw(st.sets(st.integers(0, G.order - 1),
                                  min_size=len(S1), max_size=len(S1)))
         S2 = [G.element(G.coords_of(i)) for i in idxs]
-    assert _check_against_oracle(G, S1, S2).sifted
+    _check_against_oracle(G, S1, S2)
 
 
 def test_affine_equivalent_checks_candidates_in_full():
@@ -391,4 +389,4 @@ def test_affine_equivalent_checks_candidates_in_full():
     S1 = els(G, (0, 2), (1, 0), (1, 2), (2, 3))
     S2 = els(G, (1, 3), (2, 2), (3, 1), (3, 2))
     res = _check_against_oracle(G, S1, S2)
-    assert not res and not res.sifted and res.candidates > 0
+    assert not res and res.candidates > 0

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from conftest import table_unit_encoder
+from sidonkit.fields import field_create, field_extension
 from sidonkit.groups import AbelianGroup
 from sidonkit.pell import CFData
 from sidonkit.sidon import is_sidon
@@ -236,6 +237,15 @@ def test_cubic_graph_prime_square():
     assert r.group.factors == (5, 5, 5, 5)
     assert len(r.values) == 13
     assert r.report.sidon
+
+
+def test_cubic_graph_over_a_field_built_over_k():
+    # GF(625) over GF(25): coordinates over GF(5) are the base-5 digits
+    r = cubic_graph(field_extension(field_create(5, 2), 2))
+    r2 = cubic_graph(field_create(5, 4))
+    assert r.group == r2.group == AbelianGroup((5,) * 8)
+    assert len(r.values) == len(r2.values) == 313
+    assert r.report.sidon and is_sidon(r.group, r.values).sidon
 
 
 def test_cubic_graph_rejections():
