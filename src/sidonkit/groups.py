@@ -309,56 +309,50 @@ def abelian_basis(elements, op, identity):
     identity: the neutral element.  Returns [(b_1, m_1), ...] with
     m_1 >= m_2 >= ..., prod m_i = |group|, and every element uniquely
     prod b_i^{k_i} (0 <= k_i < m_i).
+    """
+    return _basis_and_powers(list(elements), op, identity)[0]
+
+
+def _basis_and_powers(elems, op, identity):
+    """abelian_basis, plus the powers b_1^0, ..., b_1^(m_1 - 1).
 
     Works by splitting off a maximal-order cyclic factor and recursing on
     the quotient; quotient elements are coset representatives and the lift
     of a quotient basis element h is corrected by a power of b so its true
-    order drops to its quotient order.  Orders come from the factorisation
-    of |group| (strip each prime p while g^(m/p) is the identity) with
-    square-and-multiply powers, so each costs O(log^2 |group|) operations.
+    order drops to its quotient order.  Orders come from cyclic walks: g,
+    g^2, ... up to the identity gives ord(g^k) = ord(g) / gcd(k, ord(g))
+    for every power, and no element already reached is walked.  A walk
+    reaches every generator of <g> for the first time, so the walks cost
+    at most |group| max(m / phi(m)) operations in all.
     """
-    elems = list(elements)
     n = len(elems)
     if n == 1:
-        return []
-    pos = {g: i for i, g in enumerate(elems)}
-    primes = list(factorint(n))
-
-    def power(g, k):
-        acc = identity
-        while k:
-            if k & 1:
-                acc = op(acc, g)
-            k >>= 1
-            if k:
-                g = op(g, g)
-        return acc
-
-    def order_of(g):
-        m = n
-        for p in primes:
-            while m % p == 0 and power(g, m // p) == identity:
-                m //= p
-        return m
-
-    # the first element of largest order; none can exceed n, so stop there
-    b, m = identity, 0
+        return [], [identity]
+    # the first element of largest order; none can exceed n, so stop there.
+    # A new largest order is never one reached by an earlier walk (that
+    # walk's element came first, with an order at least as large), so
+    # its walk is the list of its powers.
+    order = {identity: 1}
+    m, powers = 1, [identity]
     for g in elems:
-        o = order_of(g)
+        if g in order:
+            continue
+        walk = [identity]
+        x = g
+        while x != identity:
+            walk.append(x)
+            x = op(x, g)
+        o = len(walk)
+        for k in range(1, o):
+            order.setdefault(walk[k], o // math.gcd(k, o))
         if o > m:
-            b, m = g, o
+            m, powers = o, walk
             if m == n:
-                break
-    if m == n:
-        return [(b, m)]
-
-    powers = []
-    x = identity
-    for _ in range(m):
-        powers.append(x)
-        x = op(x, b)
+                return [(g, m)], powers
+    b = powers[1]
     power_index = {g: k for k, g in enumerate(powers)}
 
+    pos = {g: i for i, g in enumerate(elems)}
     rep = {}
     for g in elems:
         if g in rep:
@@ -369,18 +363,20 @@ def abelian_basis(elements, op, identity):
             rep[member] = r
     reps = sorted(set(rep.values()), key=pos.get)
 
-    sub = abelian_basis(reps, lambda a, c: rep[op(a, c)], rep[identity])
+    sub, _ = _basis_and_powers(reps, lambda a, c: rep[op(a, c)], rep[identity])
 
     basis = [(b, m)]
     for h, e in sub:
-        s = power_index[power(h, e)]
+        x = h
+        for _ in range(e - 1):
+            x = op(x, h)
+        s = power_index[x]
         if s % e:
             raise GroupError("basis lifting failed")  # pragma: no cover
-        g = op(h, power(b, (m - s // e) % m))
-        basis.append((g, e))
+        basis.append((op(h, powers[(m - s // e) % m]), e))
     if math.prod(o for _, o in basis) != n:
         raise GroupError("basis size mismatch")  # pragma: no cover
-    return basis
+    return basis, powers
 
 
 class GroupPresentation:
@@ -393,14 +389,14 @@ class GroupPresentation:
 
     def __init__(self, elements, op, identity):
         elems = list(elements)
-        basis = abelian_basis(elems, op, identity)
+        basis, table = _basis_and_powers(elems, op, identity)
         moduli = [o for _, o in basis]
         self.group, convert = invariant_factor_form(moduli)
         self.basis = basis
-        # prod b_i^k_i for every exponent tuple in itertools.product order,
-        # each from its prefix by one operation: |group| - 1 in all
-        table = [identity]
-        for bel, o in basis:
+        # prod b_i^k_i for every exponent tuple in itertools.product order:
+        # b_1's powers come from the basis search, and every later entry
+        # from its prefix by one operation
+        for bel, o in basis[1:]:
             row = []
             for g in table:
                 row.append(g)

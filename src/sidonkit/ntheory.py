@@ -1,5 +1,5 @@
 """Exact integer number theory: factoring, primality, primes, primitive
-roots and discrete logs.
+roots, square roots modulo a prime and discrete logs.
 
 These are the only integer routines the package needs.  Every answer is
 exact: factorint always terminates with the full factorisation, isprime
@@ -238,6 +238,33 @@ def primitive_root(pe):
             e == 1 or pow(g, p - 1, p2) != 1
         ):
             return g
+
+
+def sqrt_mod(a, p):
+    """A square root of a modulo the prime p (Tonelli-Shanks), or None
+    when a is no square mod p."""
+    a %= p
+    if a < 2 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q = p - 1
+    s = (q & -q).bit_length() - 1
+    q >>= s
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    # invariant: r^2 = a t, with t of order 2^i for some i < m
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u = u * u % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def discrete_log(n, a, b, order, factors):

@@ -17,6 +17,7 @@ import time
 from functools import total_ordering
 
 from .groups import GroupPresentation
+from .ntheory import primerange, sqrt_mod
 
 log = logging.getLogger(__name__)
 
@@ -166,16 +167,50 @@ def reduced_forms(disc):
     """All primitive reduced forms of the given discriminant, sorted.
 
     Loops over |b| rather than a (Cohen, Algorithm 5.3.5): b^2 = disc
-    (mod 4) forces b = disc (mod 2), 3a^2 <= -disc bounds |b| <= a, and
-    for each b the admissible a are the divisors of ac = (b^2 - disc)/4
-    in [|b|, sqrt(ac)], so a <= c holds by construction.
+    (mod 4) forces b = disc (mod 2), 3a^2 <= -disc bounds |b| <= a <= A =
+    isqrt(-disc/3), and for each b the admissible a are the divisors of
+    n_b = ac = (b^2 - disc)/4 in [|b|, sqrt(n_b)], so a <= c holds by
+    construction.  The prime factors of such an a are at most A, so one
+    sieve over b finds them: the odd p <= A that divide n_b are those
+    with b = +-sqrt(disc) (mod p), and the power of 2 is read from the low
+    bits of n_b.
     """
     _check_disc(disc)
+    top = math.isqrt(-disc // 3)
+    b0 = disc % 2
+    bs = range(b0, top + 1, 2)
+    ns = [(b * b - disc) >> 2 for b in bs]
+    # (p, e) for each prime p <= top with p^e exactly dividing n_b
+    parts = [[(2, (n & -n).bit_length() - 1)] if not n & 1 else [] for n in ns]
+    for p in primerange(3, top + 1):
+        r = sqrt_mod(disc, p)
+        if r is None:
+            continue
+        # b = b0 + 2i = +-r (mod p), with (p + 1)/2 the inverse of 2
+        for root in {r, -r % p}:
+            for i in range((root - b0) * (p + 1) // 2 % p, len(ns), p):
+                n, e = ns[i] // p, 1
+                while not n % p:
+                    n //= p
+                    e += 1
+                parts[i].append((p, e))
     forms = []
-    for b in range(disc % 2, math.isqrt(-disc // 3) + 1, 2):
-        ac = (b * b - disc) // 4
-        for a in [a for a in range(max(b, 1), math.isqrt(ac) + 1) if not ac % a]:
-            c = ac // a
+    for b, n, part in zip(bs, ns, parts):
+        hi = math.isqrt(n)
+        divisors = [1]
+        for p, e in part:
+            grown = []
+            for d in divisors:
+                for _ in range(e + 1):
+                    if d > hi:
+                        break
+                    grown.append(d)
+                    d *= p
+            divisors = grown
+        for a in divisors:
+            if a < b:
+                continue
+            c = n // a
             if math.gcd(a, b, c) != 1:
                 continue
             forms.append(BinaryQF(a, b, c))
@@ -235,7 +270,8 @@ class ClassGroup:
         verbose = log.isEnabledFor(logging.INFO)
         t0 = time.perf_counter() if verbose else 0.0
         self.disc = disc
-        self.forms = tuple(f.reduced() for f in reduced_forms(disc))
+        self.forms = tuple(reduced_forms(disc))
+        t_forms = time.perf_counter() - t0 if verbose else 0.0
         self.h = len(self.forms)
         op = operator.mul
         if verbose:
@@ -248,8 +284,9 @@ class ClassGroup:
         self.group = self._pres.group
         if verbose:
             log.info("class group of discriminant %d: h = %d, invariants %s, "
-                     "%d compositions, %.3fs", disc, self.h,
-                     list(self.group.factors), ops[0], time.perf_counter() - t0)
+                     "%d compositions, forms %.3fs, %.3fs", disc, self.h,
+                     list(self.group.factors), ops[0], t_forms,
+                     time.perf_counter() - t0)
 
     def element(self, form):
         return self._pres.to_group[form.reduced()]

@@ -19,6 +19,7 @@ import itertools
 import math
 
 from .groups import GroupElement, GroupError, endo_apply
+from .ntheory import factorint
 
 ORDER_CAP = 1 << 24
 
@@ -80,9 +81,12 @@ class SidonReport:
             if stop == pos and count == len(items):
                 text = prefix.join(parts)
             else:
-                skip = {d - base for d in missing[pos:stop]}
-                text = ", ".join(items[i] for i in range(count) if i not in skip)
-                text = text.replace("@", prefix)
+                kept, a = [], 0
+                for d in missing[pos:stop]:
+                    kept += items[a:d - base]
+                    a = d - base + 1
+                kept += items[a:count]
+                text = ", ".join(kept).replace("@", prefix)
                 pos = stop
                 if not text:
                     continue
@@ -378,11 +382,11 @@ def affine_equivalent(group, S1, S2):
     anchor s1 and some s2 in S2.  One search covers every input: phi is
     fixed by its values on a generating subset B of D1 completed by the
     canonical generators outside span(B).  An element of B goes to a
-    distinct element of D2 of its order, and the search is pruned as soon
-    as an element of D1 in the span so far leaves D2; a canonical
-    generator goes to any element of the group of its order.  Each
-    candidate is accepted only after it is checked to be an automorphism
-    with phi(S1) + c = S2.
+    distinct element of D2 of its order and p-heights, and the search is
+    pruned as soon as an element of D1 in the span so far leaves D2; a
+    canonical generator goes to any element of the group of its order and
+    p-heights.  Each candidate is accepted only after it is checked to be
+    an automorphism with phi(S1) + c = S2.
     """
     set1 = {group.element(s).coords for s in S1}
     set2 = {group.element(s).coords for s in S2}
@@ -402,15 +406,33 @@ def affine_equivalent(group, S1, S2):
     for x in D1:
         w = words[x]
         level[max((j + 1 for j in range(r) if w[j]), default=0)].append((x, w))
-    orders = [_order(group, b) for b in basis]
-    # images of the canonical generators completing the basis, by order
+    # an automorphism keeps each element's order and its p-heights: x is
+    # in p^k G iff gcd(p^k, n_i) | x_i for every i.  The order fixes the
+    # heights at a prime that divides one invariant factor only, so only
+    # primes dividing the last two are checked
+    ladders = []
+    if group.rank > 1:
+        for p in factorint(group.factors[-2]):
+            rungs, q = [], p
+            while group.factors[-1] % q == 0:
+                rungs.append(tuple(math.gcd(q, n) for n in group.factors))
+                q *= p
+            ladders.append(rungs)
+
+    def key(x):
+        return (_order(group, x),) + tuple(
+            sum(all(c % g == 0 for c, g in zip(x, rung)) for rung in rungs)
+            for rungs in ladders)
+
+    keys = [key(b) for b in basis]
+    # images of the canonical generators completing the basis, by key
     pool = {}
-    wanted = {o for b, o in zip(basis, orders) if b not in D1}
+    wanted = {k for b, k in zip(basis, keys) if b not in D1}
     if wanted:
         for x in itertools.product(*map(range, group.factors)):
-            o = _order(group, x)
-            if o in wanted:
-                pool.setdefault(o, []).append(x)
+            k = key(x)
+            if k in wanted:
+                pool.setdefault(k, []).append(x)
     gens = [words[e] for e in units]
     images = [None] * r
     tried = 0
@@ -428,11 +450,11 @@ def affine_equivalent(group, S1, S2):
             return None
         return AffineResult(phi, GroupElement(group, c), tried)
 
-    def assign(j, D2, by_order, used, s2):
+    def assign(j, D2, by_key, used, s2):
         if j == r:
             return complete(s2)
-        pick = by_order if basis[j] in D1 else pool
-        for y in pick.get(orders[j], ()):
+        pick = by_key if basis[j] in D1 else pool
+        for y in pick.get(keys[j], ()):
             images[j] = y
             fresh = set()
             for x, w in level[j + 1]:
@@ -441,17 +463,17 @@ def affine_equivalent(group, S1, S2):
                     break
                 fresh.add(img)
             else:
-                found = assign(j + 1, D2, by_order, used | fresh, s2)
+                found = assign(j + 1, D2, by_key, used | fresh, s2)
                 if found is not None:
                     return found
         return None
 
     for s2 in sorted(set2):
         D2 = {group.sub_coords(y, s2) for y in set2}
-        by_order = {}
+        by_key = {}
         for y in sorted(D2):
-            by_order.setdefault(_order(group, y), []).append(y)
-        found = assign(0, D2, by_order, {zero}, s2)
+            by_key.setdefault(key(y), []).append(y)
+        found = assign(0, D2, by_key, {zero}, s2)
         if found is not None:
             return found
     return AffineResult(None, None, tried)

@@ -14,6 +14,7 @@ from sidonkit.incidence import (
     dualize,
     is_partial_linear_space,
 )
+from sidonkit.quadforms import BinaryQF
 from sidonkit.search import BudgetExceeded
 
 
@@ -229,6 +230,22 @@ def frobenius_trace(ext, x):
         term = ext.pow(term, ext.base.q)
         acc = ext.add(acc, term)
     return acc
+
+
+def naive_reduced_forms(disc):
+    """Reference reduced forms: for each b, trial division of every
+    candidate a of (b^2 - disc)/4 in [max(b, 1), sqrt((b^2 - disc)/4)]."""
+    forms = []
+    for b in range(disc % 2, math.isqrt(-disc // 3) + 1, 2):
+        ac = (b * b - disc) // 4
+        for a in [a for a in range(max(b, 1), math.isqrt(ac) + 1) if not ac % a]:
+            c = ac // a
+            if math.gcd(a, b, c) != 1:
+                continue
+            forms.append(BinaryQF(a, b, c))
+            if 0 < b < a < c:
+                forms.append(BinaryQF(a, -b, c))
+    return sorted(forms)
 
 
 def naive_order(g, op, identity):

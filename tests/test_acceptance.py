@@ -368,9 +368,14 @@ def test_07_sparse_constructions():
             assert cli_main(case["argv"]) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == case["sha256"]
 
-    with budget(2, "check 7, ClassGroup(-10000019)"):
+    with budget(0.5, "check 7, ClassGroup(-10000019)"):
         cg = ClassGroup(-10000019)
         assert cg.h == 1275 and cg.group.factors == (1275,)
+
+    # a non-cyclic class group: element orders from cyclic walks
+    with budget(0.6, "check 7, ClassGroup(-148728580)"):
+        cg = ClassGroup(-148728580)
+        assert cg.h == 2944 and cg.group.factors == (2, 2, 2, 2, 2, 2, 46)
 
 
 def test_08_search_matches_brute_force():
@@ -467,10 +472,18 @@ def test_11_affine_equivalence_is_one_search():
     """Sets whose differences generate a proper subgroup take the same
     search as any other: the canonical generators complete the difference
     basis.  Z/2^10 within 0.1 s; three-element sets in (Z/3)^3 and (Z/2)^4
-    within 0.05 s each, witnesses checked."""
+    within 0.05 s each, witnesses checked.  A pair that p-heights tell
+    apart in Z/2 x Z/8 x Z/8 within 0.05 s."""
     G = cyclic(1 << 10)
     with budget(0.1, "check 11, Z/2^10"):
         res = affine_equivalent(G, els(G, 0, 2, 6), els(G, 0, 2, 10))
+    assert not res and res.conclusive
+
+    # (1, 0, 0) lies outside 2G and (0, 4, 0) inside, so no automorphism
+    # maps one onto the other
+    G = AbelianGroup((2, 8, 8))
+    with budget(0.05, f"check 11, {G}"):
+        res = affine_equivalent(G, els(G, (0, 0, 0), (1, 0, 0)), els(G, (0, 0, 0), (0, 4, 0)))
     assert not res and res.conclusive
 
     cases = [

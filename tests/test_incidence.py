@@ -201,8 +201,9 @@ def switched_singer_plane(draw):
     and point degree, so both deficiencies stay 0."""
     lines = [set(pts) for pts in singer_lines(draw(st.sampled_from([2, 3, 4, 5])))]
     for _ in range(draw(st.integers(0, 3))):
-        j, k = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2,
-                             unique=True))
+        # earlier switches can make two lines equal; only distinct lines trade
+        j = draw(st.integers(0, len(lines) - 1))
+        k = draw(st.sampled_from([k for k in range(len(lines)) if lines[k] != lines[j]]))
         a = draw(st.sampled_from(sorted(lines[j] - lines[k])))
         b = draw(st.sampled_from(sorted(lines[k] - lines[j])))
         lines[j] ^= {a, b}

@@ -169,3 +169,16 @@ def test_package_never_imports_sympy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sqrt_mod_matches_brute_force_below_2000():
+    """Every residue mod every prime below 2000: a root when a is a
+    square, None otherwise."""
+    for p in ntheory.primerange(2, 2000):
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            r = ntheory.sqrt_mod(a, p)
+            if a in squares:
+                assert 0 <= r < p and r * r % p == a, (a, p)
+            else:
+                assert r is None, (a, p)

@@ -3,6 +3,10 @@ import logging
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import naive_reduced_forms
 
 from sidonkit.quadforms import (
     BinaryQF,
@@ -47,6 +51,40 @@ def test_reduction():
 ])
 def test_class_numbers(disc, h):
     assert len(reduced_forms(disc)) == h
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=2 * 10**6).filter(lambda n: n % 4 in (0, 3)))
+def test_reduced_forms_sieve_matches_trial_division(n):
+    """The square-root sieve finds the same forms as trial division of
+    every candidate a, on discriminants -n = 0 or 1 (mod 4), and every one
+    is reduced (ClassGroup takes them as its representatives)."""
+    forms = reduced_forms(-n)
+    assert forms == naive_reduced_forms(-n)
+    assert all(f.is_reduced() for f in forms)
+
+
+def _squarefree(n):
+    return all(e == 1 for e in sympy.factorint(n).values())
+
+
+def _is_fundamental(d):
+    if d % 4 == 1:
+        return _squarefree(-d)
+    return d % 4 == 0 and d // 4 % 4 in (2, 3) and _squarefree(-d // 4)
+
+
+def test_two_rank_is_genus_count():
+    """Genus theory: a fundamental discriminant d < 0 with omega(d) prime
+    factors has a class group with omega(d) - 1 even invariant factors."""
+    checked = 0
+    for d in range(-3, -5000, -1):
+        if not _is_fundamental(d):
+            continue
+        factors = ClassGroup(d).group.factors
+        assert sum(1 for f in factors if f % 2 == 0) == len(sympy.primefactors(d)) - 1, d
+        checked += 1
+    assert checked == 1524
 
 
 def test_reduced_forms_anchor_23():
@@ -158,7 +196,7 @@ def test_class_group_logs_one_line(caplog):
     assert len(lines) == 1
     assert lines[0].startswith(
         "class group of discriminant -84: h = 4, invariants [2, 2], ")
-    assert " compositions, " in lines[0] and lines[0].endswith("s")
+    assert " compositions, forms " in lines[0] and lines[0].endswith("s")
 
 
 def test_class_group_is_silent_without_info(caplog):
