@@ -4,7 +4,9 @@ A group is a product Z/n1 x ... x Z/nk with n1 | n2 | ... | nk and every
 ni >= 2; the empty product is the trivial group.  Elements are residue
 vectors.  Constructors that arrive with arbitrary moduli (CRT products
 like K^x x K) go through invariant_factor_form, which also hands back the
-isomorphism, so Sidon sets stay portable between presentations.
+isomorphism, so Sidon sets stay portable between presentations;
+natural_index_table gives that isomorphism for every element at once, as
+a table of indices.
 """
 
 from __future__ import annotations
@@ -275,6 +277,28 @@ def invariant_factor_form(moduli):
     return group, convert
 
 
+def natural_index_table(moduli):
+    """invariant_factor_form's isomorphism as a table of indices.
+
+    Returns (group, table) where table[k] is the index in group of the
+    k-th residue vector of itertools.product(*map(range, moduli)).  The
+    map is additive, so only the unit vectors are converted and the table
+    is one mixed-radix walk of group.add, last coordinate fastest.
+    """
+    moduli = [int(m) for m in moduli]
+    group, convert = invariant_factor_form(moduli)
+    units = [convert([int(i == j) for i in range(len(moduli))]).index
+             for j in range(len(moduli))]
+    add = group.add
+    table = [0]
+    for u, m in zip(reversed(units), reversed(moduli)):
+        block = table
+        for _ in range(m - 1):
+            block = [add(x, u) for x in block]
+            table += block
+    return group, table
+
+
 # ---------------------------------------------------------------------------
 # automorphisms
 
@@ -390,8 +414,7 @@ class GroupPresentation:
     def __init__(self, elements, op, identity):
         elems = list(elements)
         basis, table = _basis_and_powers(elems, op, identity)
-        moduli = [o for _, o in basis]
-        self.group, convert = invariant_factor_form(moduli)
+        self.group, index = natural_index_table([o for _, o in basis])
         self.basis = basis
         # prod b_i^k_i for every exponent tuple in itertools.product order:
         # b_1's powers come from the basis search, and every later entry
@@ -404,11 +427,8 @@ class GroupPresentation:
                     g = op(g, bel)
                     row.append(g)
             table = row
-        self.to_group = {}
-        self.from_group = {}
-        for ks, g in zip(itertools.product(*(range(o) for o in moduli)), table):
-            img = convert(ks)
-            self.to_group[g] = img
-            self.from_group[img] = g
+        by_index = list(self.group.elements())
+        self.to_group = {g: by_index[i] for g, i in zip(table, index)}
+        self.from_group = {img: g for g, img in self.to_group.items()}
         if len(self.to_group) != len(elems):
             raise GroupError("presentation is not a bijection")  # pragma: no cover

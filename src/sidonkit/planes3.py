@@ -14,6 +14,10 @@ deficit d and the integrality bound on d, is the heart of the module.
 Only the generators' matrices are applied to points and lines; orbits,
 stabilizers and extraction walk their permutations of point and line
 indices, and field arithmetic runs on full tables of the (small) field.
+Group elements are named by natural position (mixed radix over the
+natural moduli) and mapped to the invariant-factor form through one
+index table, so a walk over the group builds GroupElements only for
+the elements it returns.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import operator
 
 from .fields import ADD_TABLE_LIMIT, field_extension
-from .groups import invariant_factor_form
+from .groups import GroupElement, natural_index_table
 from .incidence import IncidenceStructure
 
 log = logging.getLogger(__name__)
@@ -195,6 +200,15 @@ def _plane_data(field):
     return structure, pt_index, ln_index
 
 
+@functools.lru_cache(maxsize=16)
+def _line_getters(field):
+    """One itemgetter per line of the plane, reading a point permutation
+    at that line's points, and the lines' point lists as lists, the type
+    sorted returns."""
+    lines = _plane_data(field)[0].line_points
+    return [operator.itemgetter(*pts) for pts in lines], list(map(list, lines))
+
+
 def _index_map(F, A, triples):
     """The permutation of point indices induced by t -> A t."""
     add, mul, _, inv = _tables(F)
@@ -225,6 +239,22 @@ def _images(perms, moduli, i):
             block = [P[x] for x in block]
             images += block
     return images
+
+
+def _times_power(out, x, c, mul):
+    """out times x^c under mul, by repeated squaring in O(log c) products."""
+    while c:
+        if c & 1:
+            out = mul(out, x)
+        c >>= 1
+        if c:
+            x = mul(x, x)
+    return out
+
+
+def _compose(p, P):
+    """The permutation p followed by P."""
+    return [P[x] for x in p]
 
 
 def _orbits(perms, n):
@@ -369,12 +399,16 @@ class PlaneAction:
     """An abelian group acting on P^2(K) by projectivities.
 
     The group is Z/m_1 x ... x Z/m_r over the natural moduli, generator j
-    acting by the matrix gens[j]; group is its invariant-factor form and
-    elements maps each GroupElement to its natural coordinates, in
-    itertools.product order.  Only the generators' matrices are applied to
-    points and lines, once each; orbits, stabilizers, the images of a point
-    and every element's permutation and matrix are composed from the
-    generators.
+    acting by the matrix gens[j]; group is its invariant-factor form.  The
+    isomorphism is kept as a table of indices (natural_index_table): the
+    k-th natural coordinate vector, in itertools.product order, is the
+    element of index _table[k].  Walks over the group (the kernel check,
+    stabilizer witnesses, extraction) run on natural positions and make
+    GroupElements only for their answers; elements, the mapping of each GroupElement to
+    its natural coordinates in that order, is built from the table on
+    first read.  Only the generators' matrices are applied to points and
+    lines, once each; orbits, stabilizers, the images of a point and every
+    element's permutation and matrix are composed from the generators.
     """
 
     def __init__(self, field, tag, moduli, gens, iso_note):
@@ -385,9 +419,7 @@ class PlaneAction:
         if len(self.gens) != len(self.moduli):
             raise PlaneError("need one generator per modulus")
         self.iso_note = iso_note
-        self.group, convert = invariant_factor_form(self.moduli)
-        self.elements = {convert(nat): nat for nat in
-                         itertools.product(*(range(m) for m in self.moduli))}
+        self.group, self._table = natural_index_table(self.moduli)
         self.plane, self._pt_index, self._ln_index = _plane_data(field)
         triples = [p.triple for p in self.plane.points]
         self._point_gens = [_index_map(field, M.rows, triples) for M in self.gens]
@@ -401,15 +433,14 @@ class PlaneAction:
         the rest is read off the point permutations, PGL_3(K) acting
         faithfully on points: generator j has order dividing m_j, the
         generators commute, and no nonzero element fixes every point."""
-        lines = self.plane.line_points
-        n = self.plane.n_points
+        getters, lines = _line_getters(self.field)
+        identity = list(range(self.plane.n_points))
         for j, (pp, lp, m) in enumerate(zip(self._point_gens, self._line_gens,
                                             self.moduli)):
             # line b must go onto line lp[b], point for point
-            if any(tuple(sorted(map(pp.__getitem__, pts))) != lines[lp[b]]
-                   for b, pts in enumerate(lines)):
+            if [sorted(get(pp)) for get in getters] != [lines[b] for b in lp]:
                 raise PlaneError(f"generator {j} breaks incidence")
-            if any(m % len(cycle) for cycle in _orbits([pp], n)[0]):
+            if _times_power(identity, pp, m, _compose) != identity:
                 raise PlaneError(f"generator {j} has order not dividing {m}")
         for (j, P), (k, Q) in itertools.combinations(enumerate(self._point_gens), 2):
             if [P[x] for x in Q] != [Q[x] for x in P]:
@@ -425,16 +456,33 @@ class PlaneAction:
         if kernel:
             raise PlaneError("action is not faithful")
 
+    @functools.cached_property
+    def _position(self):
+        """The inverse of _table: each index's natural position."""
+        position = [0] * self.group.order
+        for k, i in enumerate(self._table):
+            position[i] = k
+        return position
+
+    def _element(self, k):
+        """The GroupElement at natural position k."""
+        return GroupElement(self.group, self.group.coords_of(self._table[k]))
+
+    @functools.cached_property
+    def elements(self):
+        """Each GroupElement with its natural coordinates, in
+        itertools.product order of the coordinates."""
+        nats = itertools.product(*(range(m) for m in self.moduli))
+        return {self._element(k): nat for k, nat in enumerate(nats)}
+
     def _product(self, out, gens, mul, g):
         """out times each gens[j]^c_j under mul, c_j g's natural coordinates,
-        each power by repeated squaring in O(log c_j) products."""
-        for x, c in zip(gens, self.elements[self.group.element(g)]):
-            while c:
-                if c & 1:
-                    out = mul(out, x)
-                c >>= 1
-                if c:
-                    x = mul(x, x)
+        unranked from g's table position last coordinate first (the
+        generators commute)."""
+        k = self._position[self.group.element(g).index]
+        for x, m in zip(reversed(gens), reversed(self.moduli)):
+            k, c = divmod(k, m)
+            out = _times_power(out, x, c, mul)
         return out
 
     def matrix(self, g):
@@ -442,8 +490,7 @@ class PlaneAction:
                              Projectivity.__mul__, g)
 
     def _perm(self, gens, g):
-        return tuple(self._product(range(self.plane.n_points), gens,
-                                   lambda p, P: [P[x] for x in p], g))
+        return tuple(self._product(range(self.plane.n_points), gens, _compose, g))
 
     def point_perm(self, g):
         return self._perm(self._point_gens, g)
@@ -471,7 +518,7 @@ class PlaneAction:
         if len(orbits[1][i]) == self.group.order:
             return None
         images = _images(gens, self.moduli, i)
-        return next(g for g, x in zip(self.elements, images) if g and x == i)
+        return self._element(next(k for k in range(1, len(images)) if images[k] == i))
 
     def point_stabilizer_witness(self, i):
         """A nonzero g fixing point i, or None when the stabilizer is trivial."""
@@ -585,7 +632,7 @@ def extract_sidon(action, point=None, line=None):
 
     images = _images(action._point_gens, action.moduli, pi)
     on_line = set(action.plane.line_points[li])
-    S = {g for g, x in zip(action.elements, images) if x in on_line}
+    S = {action._element(k) for k, x in enumerate(images) if x in on_line}
     q = action.field.q
     d = (q + 1) - len(S)
     outside = len(on_line - action.point_orbit(pi))

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import strategies as st
 
 from sidonkit.fields import field_extension
-from sidonkit.groups import AbelianGroup, automorphisms, endo_apply
+from sidonkit.groups import AbelianGroup, automorphisms, endo_apply, invariant_factor_form
 from sidonkit.incidence import (
     PlaneCheck,
     _general_quad,
@@ -302,6 +302,14 @@ def brute_line_image(action, M, j):
     adj = M.adj
     return action._ln_index[_normalized(F, [_dot(F, t, [adj[0][k], adj[1][k], adj[2][k]])
                                             for k in range(3)])]
+
+
+def naive_elements(action):
+    """{GroupElement: natural coordinates} with one invariant_factor_form
+    conversion per coordinate vector, in itertools.product order."""
+    _, convert = invariant_factor_form(action.moduli)
+    return {convert(nat): nat
+            for nat in itertools.product(*(range(m) for m in action.moduli))}
 
 
 @functools.lru_cache(maxsize=None)

@@ -237,7 +237,7 @@ def test_04_group_actions_on_planes():
             except PlaneError:
                 assert tag in ("vi", "vii")
     _plane_data.cache_clear()
-    with budget(2, "check 4, family_build(GF(64), 'vi')"):
+    with budget(1, "check 4, family_build(GF(64), 'vi')"):
         assert family_build(field(64), "vi").group.order == 64 * 64
     action = family_build(field(64), "i")
     for name in ("point_perm", "matrix"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from sidonkit.groups import (
     abelian_basis,
     automorphisms,
     invariant_factor_form,
+    natural_index_table,
 )
 from sidonkit.quadforms import principal_form, reduced_forms
 
@@ -84,7 +86,6 @@ def test_invariant_factor_form_is_isomorphism():
             assert convert(add(x, y)) == convert(x) + convert(y)
         # injective on a sample (exhaustive for the small ones)
         if G.order <= 64:
-            import itertools
             everything = {convert(c)
                           for c in itertools.product(*(range(m) for m in moduli))}
             assert len(everything) == G.order
@@ -94,6 +95,28 @@ def test_invariant_factor_anchor():
     G, convert = invariant_factor_form((2, 3))
     assert G.factors == (6,)
     assert convert((1, 2)).coords == (5,)
+
+
+# moduli with 1s, repeated primes and prime powers, the empty tuple included
+_moduli = st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27]),
+                   max_size=4).filter(lambda ms: math.prod(ms) <= 4096)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_moduli)
+def test_natural_index_table_matches_convert(moduli):
+    G, table = natural_index_table(moduli)
+    H, convert = invariant_factor_form(moduli)
+    assert G == H
+    assert table == [convert(v).index
+                     for v in itertools.product(*(range(m) for m in moduli))]
+
+
+def test_natural_index_table_anchors():
+    assert natural_index_table(()) == (AbelianGroup(()), [0])
+    assert natural_index_table((1, 1)) == (AbelianGroup(()), [0])
+    # Z/2 x Z/3 = Z/6 by CRT: (a, b) -> 3a + 4b mod 6
+    assert natural_index_table((2, 3)) == (AbelianGroup((6,)), [0, 4, 2, 3, 1, 5])
 
 
 def _check_index_arithmetic(G, a, b, k):

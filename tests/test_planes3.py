@@ -18,6 +18,7 @@ from conftest import (
     brute_point_image,
     brute_point_orbit,
     brute_point_witness,
+    naive_elements,
 )
 from sidonkit.cli import main
 from sidonkit.fields import field_create, field_extension
@@ -228,10 +229,12 @@ def test_matrix_matches_closed_form(tag, q):
     ((4, 4), [((2, 0, 0), (0, 1, 0), (0, 0, 1))] * 2, "not faithful"),
     ((2, 4), [((2, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 2, 0), (0, 0, 1))],
      "generator 0 has order not dividing 2"),
+    # diag(2, 1, 1) has order 4, which does not divide 6
+    ((6,), [((2, 0, 0), (0, 1, 0), (0, 0, 1))], "generator 0 has order not dividing 6"),
     ((4, 3), [((2, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0))],
      "generators 0 and 1 do not commute"),
     ((4, 4), [((2, 0, 0), (0, 1, 0), (0, 0, 1))], "one generator per modulus"),
-], ids=["unfaithful", "wrong-order", "noncommuting", "generator-count"])
+], ids=["unfaithful", "wrong-order", "order-4-modulus-6", "noncommuting", "generator-count"])
 def test_plane_action_rejects_bad_generators(moduli, gens, message):
     assert F5.generator == 2
     with pytest.raises(PlaneError, match=message):
@@ -239,13 +242,15 @@ def test_plane_action_rejects_bad_generators(moduli, gens, message):
 
 
 def test_plane_action_check_catches_broken_incidence():
-    # genuine matrices always preserve incidence, so the line permutation
-    # of a built action is corrupted by swapping two images
-    action = family_build(F3, "i")
-    lp = action._line_gens[0]
-    lp[0], lp[1] = lp[1], lp[0]
-    with pytest.raises(PlaneError, match="generator 0 breaks incidence"):
-        action._check()
+    # genuine matrices always preserve incidence, so the line permutation,
+    # then the point permutation, of a built action is corrupted by
+    # swapping two images
+    for gens in ("_line_gens", "_point_gens"):
+        action = family_build(F3, "i")
+        perm = getattr(action, gens)[0]
+        perm[0], perm[1] = perm[1], perm[0]
+        with pytest.raises(PlaneError, match="generator 0 breaks incidence"):
+            action._check()
 
 
 @pytest.mark.parametrize("side", ["point", "line"])
@@ -399,6 +404,13 @@ def test_element_perms_and_orbit_analysis_match_matrices(apl, data):
                 expected.append(sorted(brute(action, i)))
                 seen.update(expected[-1])
         assert orbits == expected
+
+
+@pytest.mark.parametrize("tag, q", [(tag, q) for q in sorted(FIELDS) for tag in FAMILY_TAGS
+                                    if tag not in ("viii", "ix") or q % 3 == 1])
+def test_elements_match_convert_oracle(tag, q):
+    action = action_of(q, tag)
+    assert list(action.elements.items()) == list(naive_elements(action).items())
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
