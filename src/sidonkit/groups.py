@@ -303,16 +303,57 @@ def natural_index_table(moduli):
 # automorphisms
 
 def automorphisms(group):
-    """Yield every automorphism as a tuple of generator images (coords).
+    """Yield every automorphism as a tuple of generator images (coords),
+    in itertools.product order of the candidate images.
 
-    A candidate sends e_i to images[i]; it is an endomorphism iff the
-    image respects the order of e_i, and an automorphism iff the images
-    generate (a surjective endomorphism of a finite group is bijective).
+    A candidate sends e_i to images[i]; it is an endomorphism iff each
+    image's order divides that of e_i.  An endomorphism is bijective iff
+    it is on every Sylow subgroup, and one of a finite abelian p-group P
+    is bijective iff it is on P/pP (Burnside's basis theorem: pP is the
+    Frattini subgroup of P).  G/pG is that quotient for the p-part of G,
+    with basis the e_i whose invariant factor p divides, so the candidate
+    is an automorphism iff for each prime p dividing |G| the rows of the
+    images' coordinates mod p at those factors, one per such e_i, are
+    independent over F_p.  The images are chosen in order, and each row
+    must lie outside the span of the rows chosen before it; that span is
+    grown once per prefix, so a full candidate costs one set lookup per
+    prime.
     """
-    per = [[g for g in range(group.order) if group.smul(n, g) == 0] for n in group.factors]
-    for images in itertools.product(*per):
-        if len(group.span(images)) == group.order:
-            yield tuple(map(group.coords_of, images))
+    tests = [(p, [i for i, n in enumerate(group.factors) if n % p == 0])
+             for p in factorint(group.order)]
+    # per generator: the tests it takes part in, and its candidate images
+    # with their rows mod p for those tests
+    levels = []
+    for i, n in enumerate(group.factors):
+        mine = [(k, p, at) for k, (p, at) in enumerate(tests) if i in at]
+        cands = []
+        for g in range(group.order):
+            if group.smul(n, g) == 0:
+                c = group.coords_of(g)
+                cands.append((c, [tuple(c[j] % p for j in at) for _, p, at in mine]))
+        levels.append((mine, cands))
+    if not levels:
+        yield ()
+        return
+    last = len(levels) - 1
+
+    def walk(i, spans, images):
+        mine, cands = levels[i]
+        for c, rows in cands:
+            if any(row in spans[k] for (k, _, _), row in zip(mine, rows)):
+                continue
+            images.append(c)
+            if i == last:
+                yield tuple(images)
+            else:
+                grown = list(spans)
+                for (k, p, _), row in zip(mine, rows):
+                    grown[k] = {tuple((a + m * b) % p for a, b in zip(s, row))
+                                for s in spans[k] for m in range(p)}
+                yield from walk(i + 1, grown, images)
+            images.pop()
+
+    yield from walk(0, [{(0,) * len(at)} for _, at in tests], [])
 
 
 def endo_apply(group, images, coords):

@@ -24,32 +24,68 @@ translates of a mask.  A translate is a rotation for Z/n, and a masked
 shift per coordinate for Z/a_1 x ... x Z/a_r.  A node's children are the
 set bits of cand & ~F, its candidates above the last index pushed.
 
-Reductions.  max_sidon and enumerate_sidon only walk sets that contain
-0 (slide any set by one of its elements).  Their second element, the
-least nonzero index, is restricted further:
+Reductions.  max_sidon and enumerate_sidon walk only lex-leaders: sets
+of indices, compared as sorted tuples, that no map x -> u(x - t) makes
+smaller, with t in the set and u in a group of units (every unit mod the
+exponent for max_sidon, u = +-1 for enumerate_sidon).  Translations and
+the maps x -> ux are automorphisms of the Sidon property, so the images
+u(T - t) of a Sidon set T are Sidon sets of T's size that contain 0,
+and the least image L of T is a lex-leader that contains 0.
 
-- max_sidon keeps only second elements that are least in their orbit
-  under x -> ux for u a unit mod the exponent; for Z/n these are the
-  divisors of n below n.  Translations and the maps x -> ux are
-  automorphisms of the Sidon property, so every image u(T - a), a in T,
-  of a Sidon set T is a Sidon set of T's size that contains 0.  Take
-  one whose second element y is least.  If a unit v had idx(vy) <
-  idx(y), the image vu(T - a) would contain 0 and vy and so beat it;
-  hence y is an orbit minimum and the walk reaches a set of T's size.
-  Negation is the unit u = -1, so the rule contains the
-  translate-and-negate halving idx(c) <= idx(-c).
-- enumerate_sidon emits one set per class up to translation and
-  negation only, so it keeps that halving: a class whose canonical form
-  has a second element that some other unit lowers must still be
-  walked.
+- The cut.  Let P = (0, p1, ..., pm) be a node and g such a map, with t
+  in P, and g(P) < P.  A set S walked below P is P followed by larger
+  indices.  g(S) contains g(P), so the i-th least element of g(S) is at
+  most the i-th least of g(P).  Let j be the first place where g(P)
+  and P differ, so g(P)_j < p_j: either g(S) is already below S before
+  place j, or it agrees with S there and g(S)_j <= g(P)_j < p_j = S_j.
+  So g(S) < S, and no lex-leader lies below P: P is cut with its
+  subtree.  A lex-leader L is never cut, as a prefix P of L with
+  g(P) < P would give g(L) < L.
+- Size 2.  The second element p1 of a lex-leader is least in its orbit
+  under the units (a unit v with idx(v p1) < p1 would give vL < L), so
+  the walk starts from those: the divisors of n below n for Z/n under
+  every unit, the c with c <= -c (as indices) under u = +-1.
+- The test, _Indices.lowers, is exact and costs O(|P|^2) table lookups:
+  an image u(P - t) holds 0 and beats P only if its second element, the
+  least u(p - t), is at most p1.  So P is cut at once when a difference
+  p - t has its orbit minimum below p1, and otherwise only the units
+  that send a difference onto p1 have their images built and compared.
+- max_sidon keeps the sets it returned without the cut: at each size k,
+  the first k-set the walk meets is the least k-set that contains 0
+  with a root as second element, and that set is a lex-leader, since
+  its least image is a k-set of the same kind.  So a complete walk
+  still proves sigma and returns the same witness.  It tests a
+  node of size k >= 3 only when 2k <= floor + 2, that is when P's
+  nonzero elements are at most half of the floor, the size of a set
+  that the walk still has to beat: the test's cost grows with k and
+  the subtree it can remove shrinks with floor + 1 - k.  At a node that
+  sets a new best, k is the floor and nothing is tested, so the dive to
+  a first large set, most of a short search, pays nothing.  Measured
+  on 2 vCPUs, sigma(40) to sigma(100) took 12-13 s in all with this
+  rule, 17-21 s when testing sizes 3-4 and 11-13 s for sizes 3-5; but
+  sizes 3-5 took sigma(50), whose 77 nodes are almost all that dive,
+  from 0.15 ms to 0.3-0.5 ms, and this rule to 0.1 ms.
+- enumerate_sidon tests every node of size >= 3 under u = +-1.  A node
+  that survives is least among the translates of itself and of its
+  negation (the least of those holds 0, so it is one of the images
+  tested): it is its class's canonical form and is emitted as it is.
 - extend_sidon starts from a given set, which need not contain 0, and
-  uses no reduction.
+  uses no reduction.  It walks with floor target - 1: a node that
+  cannot reach the target is pruned by the look-ahead below, and its
+  hook acts only at the target, above the floor.
 
-max_sidon also prunes by look-ahead: every set below a node uses only
-the node's available indices, so a node with |S| + popcount(cand & ~F)
-<= the best size so far has nothing better below it.  Most nodes of a
-sigma(n) proof are leaves cut this way, so the test is first made in the
-parent, before the child S' = S u {x} is pushed, on the partial mask
+The tables behind these tests, and the walker's, are built once per
+group: _indices keeps the _Indices of the last INDEX_CACHE groups.  A
+census asks for sigma(50) sixty times, and the tables for Z/50 take
+longer to build than its search; the cache is bounded because an entry
+for order n holds O(n) masks of up to 2n bits, about 0.3 MB at n = 512.
+
+max_sidon and extend_sidon also prune by look-ahead: every set below a
+node uses only the node's available indices, so a node with |S| +
+popcount(cand & ~F) <= the floor (for max_sidon the best size so far)
+has nothing better below it.  Most nodes of a sigma(n) proof are leaves
+cut this way, so the test is first made in the parent, before the child
+S' = S u {x} is pushed, on the partial mask
 
     P = (x + D)  u  (Sigma - x)
 
@@ -60,19 +96,22 @@ as a node but neither visited nor pushed; any other child is visited,
 pushed and tested in full as before.  The walk thus goes through the
 same tree, with the same node counts and budget exhaustion points, as
 one that pushes every child first.  Enumeration must visit every set,
-and extension walks its tree unpruned as well.
+so it walks without a floor.
 
 max_sidon, enumerate_sidon and extend_sidon all run _dfs, which calls a
 visit(stack) hook at every node it walks, the root included, before
 computing the node's masks: True stops the walk, False skips the
 children, None descends.  A child rejected in its parent never reaches
-the hook, so a hook used with a floor must do nothing at nodes of size
-<= the floor.  max_sidon's hook acts only on sets larger than the best
-so far, whose size is the floor.
+the hook, so a hook used with a floor must record nothing at nodes of
+size <= the floor; it may cut them, as such a node is a leaf either
+way.  max_sidon's hook records only sets larger than the best so far,
+whose size is the floor, and cuts non-leaders at any size.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 
 from .groups import AbelianGroup, automorphisms, endo_apply
@@ -80,6 +119,8 @@ from .ntheory import isprime
 from .sidon import counting_bound, is_perfect_difference_set, is_sidon, subgroup_union_cover
 
 TABLE_CAP = 512
+# groups whose index tables _indices keeps
+INDEX_CACHE = 8
 
 
 class SearchError(ValueError):
@@ -88,6 +129,13 @@ class SearchError(ValueError):
 
 class BudgetExceeded(SearchError):
     """The node budget ran out before the search finished."""
+
+
+_Orbits = collections.namedtuple("_Orbits", "orbit_min into fix roots")
+_Orbits.__doc__ = """The orbits of the indices under x -> ux, u in a group of units mod
+the exponent: orbit_min[c] is the least index in c's orbit, into[c] a
+unit that sends c onto it, fix[m] the units that fix the orbit minimum
+m, and roots the mask of the nonzero orbit minima."""
 
 
 class _Indices:
@@ -124,6 +172,15 @@ class _Indices:
         # every attribute of the object through its dict, which made
         # _canonical about 40 % slower
         self.push, self.reach, self.start = self._walk_ops()
+        e = group.exponent
+        self.units = self._orbits([u for u in range(1, e + 1) if math.gcd(u, e) == 1])
+        # under u = +-1 the orbits are the pairs {c, -c}, read off neg
+        pairs = list(enumerate(self.neg))
+        self.signs = _Orbits([min(pair) for pair in pairs],
+                             [1 if c <= d else e - 1 for c, d in pairs],
+                             {c: [1, e - 1] if c == d and e > 2 else [1]
+                              for c, d in pairs if c <= d},
+                             sum(1 << c for c, d in pairs if 0 < c <= d))
 
     def mask(self, pred, lo=1):
         """The mask of the indices i >= lo with pred(i)."""
@@ -141,16 +198,76 @@ class _Indices:
     def unit_minima(self):
         """The mask of the nonzero indices that are least in their orbit
         under x -> ux, u a unit mod the exponent."""
-        g = self.group
-        units = [u for u in range(2, g.exponent) if math.gcd(u, g.exponent) == 1]
-        seen = bytearray(self.n)
-        out = 0
-        for c in range(1, self.n):
-            if not seen[c]:
-                out |= 1 << c
-                for u in units:
-                    seen[g.smul(u, c)] = 1
-        return out
+        return self.units.roots
+
+    def _orbits(self, units):
+        """The _Orbits of the indices under x -> ux, u in units (a group
+        of units mod the exponent)."""
+        g, n = self.group, self.n
+        inverse = [pow(u, -1, g.exponent) for u in units]
+        orbit_min, into, fix, roots = [0] * n, [1] * n, {}, 0
+        seen = bytearray(n)
+        for c in range(n):
+            if seen[c]:
+                continue
+            if c:
+                roots |= 1 << c
+            if self.cyclic:
+                orbit = [u * c % n for u in units]
+            else:
+                orbit = [g.smul(u, c) for u in units]
+            fix[c] = [u for u, d in zip(units, orbit) if d == c]
+            for d, v in zip(orbit, inverse):
+                if not seen[d]:
+                    seen[d] = 1
+                    orbit_min[d] = c
+                    into[d] = v
+        return _Orbits(orbit_min, into, fix, roots)
+
+    def lowers(self, stack, orbits):
+        """Whether some map x -> u(x - t), t in stack and u in the unit
+        group of orbits (self.units or self.signs), sends stack to a
+        lex-smaller tuple.
+
+        stack is a sorted list of indices (0, p1, ...), at least three of
+        them.  An image u(stack - t) holds 0, and it is smaller only if
+        its second element, the least u(p - t) with p != t, is at most p1.
+        So stack is lowered at once when some difference p - t has its
+        orbit minimum below p1, and otherwise only by the units that send
+        a difference onto p1 itself: those images are built and compared.
+        Each pair is looked at once, as -1 is in the unit group: p - t
+        and t - p share their orbit, and if r sends p - t onto p1, -r
+        sends t - p there.
+        """
+        orbit_min, into, fix, _ = orbits
+        p1 = stack[1]
+        e = self.group.exponent
+        cyclic, n, sub, smul = self.cyclic, self.n, self.group.sub, self.group.smul
+        onto = []
+        # the pairs with the last index first: in the walk its parent has
+        # passed, so a cut at once is most often found among them
+        for j in range(len(stack) - 1, 0, -1):
+            p = stack[j]
+            for t in stack[:j]:
+                d = p - t if cyclic else sub(p, t)
+                m = orbit_min[d]
+                if m < p1:
+                    return True
+                if m == p1:
+                    r = into[d]
+                    onto += ((r, t), (e - r, p))
+        for r, t in onto:
+            for s in fix[p1]:
+                u = s * r % e
+                if u == 1 and not t:
+                    continue
+                if cyclic:
+                    image = [u * (q - t) % n for q in stack]
+                else:
+                    image = [smul(u, sub(q, t)) for q in stack]
+                if sorted(image) < stack:
+                    return True
+        return False
 
     def _walk_ops(self):
         """(push, reach, start): push(state, stack) is the walk state of
@@ -210,6 +327,13 @@ class _Indices:
             return F | reach(D, Sigma, x), D, Sigma, S, N
 
         return push, reach, (0, 0, 0, 0, 0)
+
+
+@functools.lru_cache(maxsize=INDEX_CACHE)
+def _indices(factors):
+    """The _Indices of the group with these invariant factors, from a
+    bounded cache (see the module docstring)."""
+    return _Indices(AbelianGroup(factors))
 
 
 class SearchResult:
@@ -304,18 +428,21 @@ def max_sidon(group, budget=5_000_000):
     lower bound.  The counting bound stops the search early once it is
     attained.
     """
-    ix = _Indices(group)
+    ix = _indices(group.factors)
     bound = counting_bound(group.order)
     best = ()
     floor = [0]
 
     def visit(stack):
         nonlocal best
-        if len(stack) > len(best):
+        k = len(stack)
+        if k > len(best):
             best = tuple(stack)
-            floor[0] = len(best)
-            if len(best) == bound:
+            floor[0] = k
+            if k == bound:
                 return True
+        if 3 <= k and 2 * k <= floor[0] + 2 and ix.lowers(stack, ix.units):
+            return False
         return None
 
     try:
@@ -351,30 +478,31 @@ def _canonical(ix, idxs):
 
 def canonical_form(group, S):
     """Lex-least index tuple among all translates of S and -S."""
-    return _canonical(_Indices(group), sorted({group.element(s).index for s in S}))
+    return _canonical(_indices(group.factors), sorted({group.element(s).index for s in S}))
 
 
 def enumerate_sidon(group, size=None, budget=5_000_000):
     """All Sidon sets up to translation and negation, as canonical tuples.
 
-    A set is emitted when it equals its own canonical form, so each
-    equivalence class appears exactly once.  size filters to one
+    Only canonical sets are walked: a node that some x -> +-(x - t), t in
+    the node, sends to a lex-smaller tuple is cut with its subtree, so
+    each equivalence class appears exactly once.  size filters to one
     cardinality; None returns every nonempty class, sorted.
     """
-    ix = _Indices(group)
+    ix = _indices(group.factors)
     out = []
 
     def visit(stack):
-        if size is None or len(stack) == size:
-            cand = tuple(stack)
-            if _canonical(ix, cand) == cand:
-                out.append(cand)
+        k = len(stack)
+        if k >= 3 and ix.lowers(stack, ix.signs):
+            return False
+        if size is None or k == size:
+            out.append(tuple(stack))
             if size is not None:
                 return False
         return None
 
-    halving = ix.mask(lambda c: c <= ix.neg[c])
-    _dfs(ix, [0], halving, budget, "enumeration", visit)
+    _dfs(ix, [0], ix.signs.roots, budget, "enumeration", visit)
     return sorted(out)
 
 
@@ -386,7 +514,7 @@ def affine_classes(group, canonicals):
     automorphism is applied to the tuple's elements only, and each orbit
     is computed once: its members share it.
     """
-    ix = _Indices(group)
+    ix = _indices(group.factors)
     auts = list(automorphisms(group))
     leader_of = {}
     leaders = {}
@@ -409,7 +537,7 @@ def extend_sidon(group, S, target, budget=5_000_000):
     Returns a SearchResult; size == target and complete=True on success,
     a smaller set with complete=True when no completion exists.
     """
-    ix = _Indices(group)
+    ix = _indices(group.factors)
     idxs = sorted({group.element(s).index for s in S})
     rep = is_sidon(group, [group.coords_of(i) for i in idxs])
     if not rep.sidon:
@@ -432,8 +560,10 @@ def _extend(ix, idxs, target, budget):
             return True
         return None
 
-    # idxs need not contain 0, so no symmetry reduction applies
-    nodes = _dfs(ix, list(idxs), ix.full, budget, "extension", visit)
+    # idxs need not contain 0, so no symmetry reduction applies; a node
+    # that cannot reach target indices is pruned, and the hook acts only
+    # at target, above that floor
+    nodes = _dfs(ix, list(idxs), ix.full, budget, "extension", visit, (target - 1,))
     return found, nodes
 
 
@@ -499,7 +629,7 @@ def test_extendable(p, budget=5_000_000):
         raise SearchError(f"{p} is not prime")
     n = p * p + p + 1
     group = AbelianGroup.cyclic(n)
-    ix = _Indices(group)
+    ix = _indices(group.factors)
     target = p + 1
     classes = []
     ok = True

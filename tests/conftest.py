@@ -170,6 +170,16 @@ def brute_adjacency(group, idxs):
             tuple(tuple(l for l in range(n) if on[p][l]) for p in range(n)))
 
 
+def span_automorphisms(group):
+    """Reference automorphism listing: every tuple of generator images
+    that respects the generators' orders, kept when the images span the
+    whole group (a surjective endomorphism of a finite group is
+    bijective), in itertools.product order."""
+    per = [[g for g in range(group.order) if group.smul(n, g) == 0] for n in group.factors]
+    return [tuple(map(group.coords_of, images)) for images in itertools.product(*per)
+            if len(group.span(images)) == group.order]
+
+
 @functools.cache
 def automorphism_list(factors):
     """automorphisms() of the group with these invariant factors, listed
@@ -212,6 +222,17 @@ def brute_canonical(group, idxs):
                 group.index_of(group.add_coords(group.smul_coords(sign, c), t.coords))
                 for c in items)))
     return min(images)
+
+
+def brute_lowers(group, idxs, units):
+    """Reference lex-leader test: whether some map x -> u(x - t), u in
+    units and t in the sorted index tuple idxs, sends idxs to a
+    lex-smaller sorted tuple.  Every image is built on coordinates."""
+    items = [group.coords_of(i) for i in idxs]
+    return any(
+        tuple(sorted(group.index_of(group.smul_coords(u, group.sub_coords(c, t))) for c in items))
+        < tuple(idxs)
+        for u in units for t in items)
 
 
 def brute_extends(group, idxs, target):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_span, naive_order, naive_presentation, small_group
+from conftest import brute_span, naive_order, naive_presentation, small_group, span_automorphisms
 from sidonkit.groups import (
     AbelianGroup,
     GroupError,
@@ -174,9 +174,34 @@ def test_span_matches_tuple_closure(data):
     ((5, 5), 480),      # GL(2, 5)
     ((3, 9), 108),
     ((7, 7), 2016),     # GL(2, 7)
+    ((3, 3, 3), 11232),  # GL(3, 3)
+    ((11, 11), 13200),  # GL(2, 11)
 ])
 def test_automorphism_counts(factors, count):
     assert sum(1 for _ in automorphisms(AbelianGroup(factors))) == count
+
+
+def _chains(limit, factors=()):
+    """Every invariant-factor chain whose product is at most limit."""
+    yield factors
+    step = factors[-1] if factors else 1
+    for m in range(max(step, 2), limit // math.prod(factors) + 1, step):
+        yield from _chains(limit, factors + (m,))
+
+
+def test_automorphisms_match_span_listing():
+    """The Frattini test lists what the span test lists, in the same
+    order, for every group of order <= 64 with at most 2 * 10^4
+    candidate image tuples."""
+    tried = 0
+    for factors in _chains(64):
+        G = AbelianGroup(factors)
+        candidates = math.prod(sum(1 for g in range(G.order) if G.smul(n, g) == 0)
+                               for n in factors)
+        if candidates <= 20_000:
+            assert list(automorphisms(G)) == span_automorphisms(G), factors
+            tried += 1
+    assert tried == 107
 
 
 def test_abelian_basis_reconstructs_unit_group():
