@@ -61,7 +61,7 @@ and the least image L of T is a lex-leader that contains 0.
   the subtree it can remove shrinks with floor + 1 - k.  At a node that
   sets a new best, k is the floor and nothing is tested, so the dive to
   a first large set, most of a short search, pays nothing.  Measured
-  on 2 vCPUs, sigma(40) to sigma(100) took 12-13 s in all with this
+  on 2 vCPUs, sigma(40) to sigma(100) took 12-15 s in all with this
   rule, 17-21 s when testing sizes 3-4 and 11-13 s for sizes 3-5; but
   sizes 3-5 took sigma(50), whose 77 nodes are almost all that dive,
   from 0.15 ms to 0.3-0.5 ms, and this rule to 0.1 ms.
@@ -105,7 +105,7 @@ children, None descends.  A child rejected in its parent never reaches
 the hook, so a hook used with a floor must record nothing at nodes of
 size <= the floor; it may cut them, as such a node is a leaf either
 way.  max_sidon's hook records only sets larger than the best so far,
-whose size is the floor, and cuts non-leaders at any size.
+whose size is the floor, and cuts by the size rule above.
 """
 
 from __future__ import annotations

@@ -382,7 +382,7 @@ def test_08_search_matches_brute_force():
     """max_sidon equals unpruned subset search for n <= 16; the sigma
     values at plane orders meet the counting bound via Singer sets;
     sigma(60) and sigma(91) are proved within 0.3 s each, and sigma(81),
-    sigma(92) and sigma(100) within 1, 2 and 6 s."""
+    sigma(92) and sigma(100) within 1.5, 3 and 8 s."""
     with budget(120, "check 8, search oracle"):
         trivial = max_sidon(AbelianGroup(()))
         assert trivial.complete and trivial.size == 1
@@ -409,18 +409,18 @@ def test_08_search_matches_brute_force():
             assert group.order == n and len(S) == q + 1
             assert is_sidon(group, S).sidon
 
-    # full proofs, each budget about 3x the time measured on 2 vCPUs:
+    # full proofs, each budget 3-6x the time measured on 2 vCPUs:
     # sigma(60) walks about 2.5 * 10^4 nodes (0.05 s); sigma(91) stops at
     # the counting bound after about 2 * 10^4 (0.03 s); sigma(81), sigma(92)
     # and sigma(100) walk about 1.1 * 10^5, 3.4 * 10^5 and 1.1 * 10^6
-    # nodes (0.2-0.26 s, 0.55-0.6 s and 1.8-2.1 s)
+    # nodes (0.18-0.26 s, 0.48-0.6 s and 1.5-2.6 s)
     with budget(0.3, "check 8, sigma(60)"):
         res = max_sidon(cyclic(60))
         assert res.complete and res.size == 7
     with budget(0.3, "check 8, sigma(91)"):
         res = max_sidon(cyclic(91))
         assert res.complete and res.size == 10 == counting_bound(91)
-    for n, sigma, seconds in ((81, 8, 1), (92, 9, 2), (100, 9, 6)):
+    for n, sigma, seconds in ((81, 8, 1.5), (92, 9, 3), (100, 9, 8)):
         with budget(seconds, f"check 8, sigma({n})"):
             res = max_sidon(cyclic(n))
             assert res.complete and res.size == sigma
