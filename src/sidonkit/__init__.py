@@ -6,6 +6,8 @@ constructions from prime numbers, and exhaustive searches in small
 groups.
 """
 
+import importlib
+
 from .dense import (
     DENSE_NAMES,
     ConstructionError,
@@ -32,7 +34,6 @@ from .incidence import (
     is_projective_plane,
     self_dual_via_negation,
 )
-from .pell import CFData, PellError, fundamental_unit, regulator
 from .planes3 import (
     FAMILY_TAGS,
     PlaneAction,
@@ -42,15 +43,6 @@ from .planes3 import (
     orbit_analysis,
     plane_build,
     recover_constructions,
-)
-from .quadforms import (
-    BinaryQF,
-    ClassGroup,
-    FormError,
-    fundamental_discriminant,
-    prime_form,
-    reduced_forms,
-    splits,
 )
 from .search import (
     BudgetExceeded,
@@ -73,21 +65,33 @@ from .sidon import (
     is_sidon,
     subgroup_union_cover,
 )
-from .sparse import (
-    BudgetError,
-    FrameworkSpec,
-    SparseError,
-    SparseResult,
-    class_group_primes,
-    cubic_graph,
-    framework_build,
-    gaussian_angles,
-    is_sidon_z,
-    log_primes,
-    perturb,
-    quotient_ring_primes,
-    real_quadratic,
-)
+
+# Names from the prime-based constructions, bound on first read: their
+# modules import mpmath, which nothing above needs.
+_LAZY = {
+    "pell": ("CFData", "PellError", "fundamental_unit", "regulator"),
+    "quadforms": ("BinaryQF", "ClassGroup", "FormError", "fundamental_discriminant",
+                  "prime_form", "reduced_forms", "splits"),
+    "sparse": ("BudgetError", "FrameworkSpec", "SparseError", "SparseResult",
+               "class_group_primes", "cubic_graph", "framework_build", "gaussian_angles",
+               "is_sidon_z", "log_primes", "perturb", "quotient_ring_primes",
+               "real_quadratic"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

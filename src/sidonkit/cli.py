@@ -408,11 +408,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
+    # basicConfig does nothing once the root logger has a handler, so the
+    # level is set on the package logger for this call alone
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    level = log.level
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.fn(args)
     except (BudgetError, BudgetExceeded) as exc:
@@ -423,6 +423,8 @@ def main(argv=None):
         log.error("%s", exc)
         _emit({"error": str(exc)})
         return EXIT_PRECONDITION
+    finally:
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

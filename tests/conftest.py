@@ -180,6 +180,30 @@ def span_automorphisms(group):
             if len(group.span(images)) == group.order]
 
 
+def hillar_rhea_order(factors):
+    """|Aut(G)| for G = Z/n_1 x ... x Z/n_r, the product over primes p of
+    the count for the p-part Z/p^e_1 x ... x Z/p^e_n, e_1 <= ... <= e_n
+    (Hillar and Rhea, Amer. Math. Monthly 114 (2007), Thm 4.1):
+    prod_k (p^d_k - p^(k-1)) * prod_j p^(e_j (n - d_j))
+    * prod_i p^((e_i - 1)(n - c_i + 1)), with d_k the last and c_k the
+    first (1-based) position of the exponent e_k."""
+    parts = {}
+    for m in factors:
+        for p, e in sympy.factorint(m).items():
+            parts.setdefault(p, []).append(e)
+    total = 1
+    for p, es in parts.items():
+        es.sort()
+        n = len(es)
+        d = [max(l for l in range(1, n + 1) if es[l - 1] == e) for e in es]
+        c = [min(l for l in range(1, n + 1) if es[l - 1] == e) for e in es]
+        for k in range(1, n + 1):
+            e = es[k - 1]
+            total *= (p ** d[k - 1] - p ** (k - 1)) * p ** (e * (n - d[k - 1]))
+            total *= p ** ((e - 1) * (n - c[k - 1] + 1))
+    return total
+
+
 @functools.cache
 def automorphism_list(factors):
     """automorphisms() of the group with these invariant factors, listed

@@ -1,8 +1,8 @@
 """End-to-end acceptance checks, one test per numbered requirement.
 
 `pytest -v tests/test_acceptance.py` prints exactly one pass/fail line
-per check.  Each check asserts its own wall-clock budget, so a pass
-means both the mathematics and the runtime contract hold.
+per check.  Each timed check asserts its own wall-clock budget, so a
+pass means both the mathematics and the runtime contract hold.
 """
 
 import hashlib
@@ -10,8 +10,11 @@ import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager, redirect_stdout
 
@@ -507,3 +510,27 @@ def test_11_affine_equivalence_is_one_search():
         mapped = {G.add_coords(endo_apply(G, res.images, s), res.translation.coords)
                   for s in S1}
         assert mapped == set(S2)
+
+
+def test_12_core_import_leaves_the_sparse_side_unloaded():
+    """`import sidonkit` loads neither mpmath nor pell, quadforms and
+    sparse, whose names it binds on first read; `import sidonkit.cli`
+    loads all four.  No time budget: interpreter start-up varies too
+    much for one, and what is imported is what the start-up costs."""
+    code = (
+        "import json, sys\n"
+        "lazy = ('mpmath', 'sidonkit.pell', 'sidonkit.quadforms', 'sidonkit.sparse')\n"
+        "import sidonkit\n"
+        "core = [m for m in lazy if m in sys.modules]\n"
+        "import sidonkit.cli\n"
+        "print(json.dumps([core, [m for m in lazy if m in sys.modules]]))\n"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    core, cli = json.loads(proc.stdout)
+    assert core == []
+    assert cli == ["mpmath", "sidonkit.pell", "sidonkit.quadforms", "sidonkit.sparse"]

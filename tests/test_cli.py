@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import logging
 import pathlib
 import time
 from contextlib import redirect_stdout
@@ -268,6 +269,23 @@ def test_workers_flag_is_rejected(capsys):
         main(["--workers", "4", "search", "--group", "13"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_verbose_holds_for_its_own_call(capsys, caplog):
+    """--verbose turns INFO logging on for the call that carries it and
+    for no other, whichever order the calls in one process come in."""
+    sparse = ["sparse", "class_group_primes", "--D", "46462"]
+
+    def info_lines(*argv):
+        caplog.clear()
+        assert run(capsys, *argv)[0] == 0
+        return [r.getMessage() for r in caplog.records
+                if r.levelno == logging.INFO and r.name.startswith("sidonkit")]
+
+    assert info_lines("orders", "13") == []
+    assert any("class group" in m for m in info_lines("--verbose", *sparse))
+    assert info_lines(*sparse) == []
+    assert any("class group" in m for m in info_lines("--verbose", *sparse))
 
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())

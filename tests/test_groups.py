@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_span, naive_order, naive_presentation, small_group, span_automorphisms
+from conftest import (
+    brute_span,
+    hillar_rhea_order,
+    naive_order,
+    naive_presentation,
+    small_group,
+    span_automorphisms,
+)
 from sidonkit.groups import (
     AbelianGroup,
     GroupError,
@@ -192,16 +199,26 @@ def _chains(limit, factors=()):
 def test_automorphisms_match_span_listing():
     """The Frattini test lists what the span test lists, in the same
     order, for every group of order <= 64 with at most 2 * 10^4
-    candidate image tuples."""
+    candidate image tuples, and as many as the Hillar-Rhea formula
+    counts."""
     tried = 0
     for factors in _chains(64):
         G = AbelianGroup(factors)
         candidates = math.prod(sum(1 for g in range(G.order) if G.smul(n, g) == 0)
                                for n in factors)
         if candidates <= 20_000:
-            assert list(automorphisms(G)) == span_automorphisms(G), factors
+            listed = list(automorphisms(G))
+            assert listed == span_automorphisms(G), factors
+            assert len(listed) == hillar_rhea_order(factors), factors
             tried += 1
     assert tried == 107
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2), (11, 11), (5, 25), (2, 6, 12), (4, 4, 4)])
+def test_automorphism_counts_beyond_the_span_listing(factors):
+    """Groups too large for the span listing are counted by Hillar-Rhea."""
+    G = AbelianGroup(factors)
+    assert sum(1 for _ in automorphisms(G)) == hillar_rhea_order(factors)
 
 
 def test_abelian_basis_reconstructs_unit_group():

@@ -267,6 +267,14 @@ def test_enumerate_node_counts_pinned(case):
         enumerate_sidon(g, case["size"], budget=case["nodes"] - 1)
 
 
+@pytest.mark.parametrize("p", sorted(PINS["test_T_subgroup"]))
+def test_t_subgroup_classes_pinned(p):
+    """The whole report for p = 5 and 7 (one class each), so that a
+    search that lists fewer automorphisms must give the same classes."""
+    rep = t_subgroup_census(int(p))
+    assert json.loads(json.dumps(rep.to_json())) == PINS["test_T_subgroup"][p]
+
+
 # ---------------------------------------------------------------------------
 # the bitmask kernel against brute-force oracles
 
