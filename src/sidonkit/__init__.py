@@ -49,7 +49,6 @@ from .search import (
     SearchError,
     SearchResult,
     admissible_orders,
-    affine_classes,
     enumerate_sidon,
     extend_sidon,
     max_sidon,
@@ -122,7 +121,6 @@ __all__ = [
     "SparseError",
     "SparseResult",
     "admissible_orders",
-    "affine_classes",
     "affine_equivalent",
     "automorphisms",
     "class_group_primes",

@@ -406,11 +406,18 @@ def build_parser():
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to sys.stderr as it is at each record, as logging.lastResort
+    does; StreamHandler's own stream assignment is ignored."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     # basicConfig does nothing once the root logger has a handler, so the
     # level is set on the package logger for this call alone
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    logging.basicConfig(handlers=[_StderrHandler()], format="%(levelname)s %(message)s")
     level = log.level
     log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:

@@ -282,21 +282,28 @@ def natural_index_table(moduli):
 
     Returns (group, table) where table[k] is the index in group of the
     k-th residue vector of itertools.product(*map(range, moduli)).  The
-    map is additive, so only the unit vectors are converted and the table
-    is one mixed-radix walk of group.add, last coordinate fastest.
+    map is additive: the unit vectors are converted, linear_table does the rest.
     """
     moduli = [int(m) for m in moduli]
     group, convert = invariant_factor_form(moduli)
     units = [convert([int(i == j) for i in range(len(moduli))]).index
              for j in range(len(moduli))]
+    return group, linear_table(group, units, moduli)
+
+
+def linear_table(group, gens, moduli):
+    """table[k] is the index of sum_j c_j gens[j] (indices of elements whose
+    orders divide the moduli), c the k-th residue vector of
+    itertools.product(*map(range, moduli)): one mixed-radix walk of
+    group.add, last coordinate fastest."""
     add = group.add
     table = [0]
-    for u, m in zip(reversed(units), reversed(moduli)):
+    for u, m in zip(reversed(gens), reversed(moduli)):
         block = table
         for _ in range(m - 1):
             block = [add(x, u) for x in block]
             table += block
-    return group, table
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -534,3 +534,21 @@ def test_12_core_import_leaves_the_sparse_side_unloaded():
     core, cli = json.loads(proc.stdout)
     assert core == []
     assert cli == ["mpmath", "sidonkit.pell", "sidonkit.quadforms", "sidonkit.sparse"]
+
+
+def test_13_affine_census_walks_automorphism_leaders():
+    """test_T_subgroup walks only lex-leaders under the maps x -> a(x - t),
+    a in Aut(G), so a node budget, not a clock, bounds it: p = 5 within
+    100 nodes and p = 7 within 1000 (33 and 216 are needed; a walk of
+    leaders under +-1 followed by an orbit merge needed 405 and 22 523).
+    The reports are those pinned in search_golden.json, and the CLI
+    prints the same JSON for p = 7."""
+    golden = json.loads((pathlib.Path(__file__).parent / "search_golden.json").read_text())
+    pins = golden["test_T_subgroup"]
+    assert t_subgroup_census(5, budget=100).to_json() == pins["5"]
+    assert t_subgroup_census(7, budget=1000).to_json() == pins["7"]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli_main(["conjecture", "t_subgroup", "--p", "7", "--budget", "1000"])
+    assert code == 0
+    assert json.loads(buf.getvalue()) == pins["7"]

@@ -2,7 +2,10 @@ import hashlib
 import io
 import json
 import logging
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 
@@ -286,6 +289,30 @@ def test_verbose_holds_for_its_own_call(capsys, caplog):
     assert any("class group" in m for m in info_lines("--verbose", *sparse))
     assert info_lines(*sparse) == []
     assert any("class group" in m for m in info_lines("--verbose", *sparse))
+
+
+def test_log_lines_go_to_the_stderr_of_their_call():
+    """A redirect of sys.stderr made after an earlier main() call in the
+    same process still catches --verbose lines.  Run in a fresh
+    interpreter, whose root logger has no handler before the first call."""
+    code = (
+        "import contextlib, io, json\n"
+        "from sidonkit.cli import main\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['orders', '13'])\n"
+        "    with contextlib.redirect_stderr(buf):\n"
+        "        main(['--verbose', 'sparse', 'class_group_primes', '--D', '46462'])\n"
+        "print(json.dumps(buf.getvalue()))\n"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "INFO" in json.loads(proc.stdout) and "class group" in proc.stdout
+    assert "INFO" not in proc.stderr
 
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())

@@ -9,13 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sidonkit import search
-from sidonkit.groups import AbelianGroup
+from sidonkit.groups import AbelianGroup, endo_apply
 from sidonkit.search import (
     BudgetExceeded,
     SearchError,
     _Indices,
+    _automorphism_orbits,
+    _census,
+    _indices,
     admissible_orders,
-    affine_classes,
     canonical_form,
     enumerate_sidon,
     extend_sidon,
@@ -27,6 +29,7 @@ from sidonkit.search import test_extendable as extendable_census
 from sidonkit.sidon import counting_bound
 
 from conftest import (
+    automorphism_list,
     brute_canonical,
     brute_extends,
     brute_lowers,
@@ -35,6 +38,7 @@ from conftest import (
     brute_sidon_sets,
     cyclic,
     reference_dfs,
+    small_group,
 )
 
 
@@ -104,17 +108,45 @@ def test_canonical_form_invariance():
         assert canonical_form(g, [t - s for s in S]) == base
 
 
-def test_affine_classes_merges_unit_orbits():
-    g = cyclic(13)
-    canonicals = enumerate_sidon(g, size=3)
-    leaders = affine_classes(g, canonicals)
-    # two unit orbits on difference triples: {1,2,3}-type and {1,3,4}-type
-    assert len(leaders) == 2
-    assert sorted(len(v) for v in leaders.values()) == sorted(
-        [len(canonicals) - min(len(v) for v in leaders.values()),
-         min(len(v) for v in leaders.values())]
-    )
-    assert sum(len(v) for v in leaders.values()) == len(canonicals)
+@settings(max_examples=60, deadline=None)
+@given(small_group(max_order=200), st.data())
+def test_canonical_form_matches_oracle(g, data):
+    """The least of the sets S - t and t - S, t in S, is the least of all
+    translates of S and -S, the empty set included."""
+    idxs = data.draw(st.sets(st.integers(0, g.order - 1), max_size=6))
+    assert canonical_form(g, [g.coords_of(i) for i in idxs]) == brute_canonical(g, idxs)
+
+
+AFFINE_GROUPS = ([(n,) for n in range(2, 26)]
+                 + [(a, b) for a in range(2, 6) for b in range(a, 26, a) if a * b <= 25]
+                 + [(2, 2, 2), (2, 2, 4)])
+
+
+@pytest.mark.parametrize("factors", AFFINE_GROUPS, ids=str)
+def test_census_under_automorphisms_matches_oracle(factors):
+    """The census under Aut(G) emits one set per class under the maps
+    x -> a(x) + c, a in Aut(G): the least of brute_canonical over the
+    images a(S) of a Sidon set S.  Each orbit is listed once."""
+    g = AbelianGroup(factors)
+    ix = _indices(factors)
+    auts = automorphism_list(factors)
+    leader_of = {}
+    for S in brute_sidon_sets(g):
+        if len(S) not in (3, 4):
+            continue
+        key = brute_canonical(g, S)
+        if key not in leader_of:
+            coords = [g.coords_of(i) for i in key]
+            orbit = {brute_canonical(g, [g.index_of(endo_apply(g, a, c)) for c in coords])
+                     for a in auts}
+            leader_of.update(dict.fromkeys(orbit, min(orbit)))
+    orbits = _automorphism_orbits(ix)
+    for size in (3, 4):
+        want = sorted({m for c, m in leader_of.items() if len(c) == size})
+        assert _census(ix, orbits, size, 10**6) == want, size
+    if factors == (13,):
+        # the difference triples {1, 2, 3} and {1, 3, 4} up to units
+        assert _census(ix, orbits, 3, 10**6) == [(0, 1, 3), (0, 1, 4)]
 
 
 def test_extend_success():
@@ -315,10 +347,36 @@ def test_enumerate_matches_oracle(factors, size):
        st.booleans(), st.data())
 def test_lex_cut_matches_every_map(factors, signs, data):
     """The cheap lex-leader test agrees with trying every unit u and every
-    t in P on x -> u(x - t).  Small elements are drawn often, so that
-    second elements are orbit minima and the exact branch is reached."""
+    t in P on x -> u(x - t)."""
     g = AbelianGroup(factors)
     ix = _Indices(g)
+    P = _draw_prefix(g, data)
+    e = g.exponent
+    units = [1, e - 1] if signs else [u for u in range(1, e) if math.gcd(u, e) == 1]
+    assert ix.lowers(P, ix.signs if signs else ix.units) == brute_lowers(g, P, units)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(n,) for n in range(3, 30)]
+                       + [(2, 4), (3, 3), (2, 6), (4, 4), (3, 6), (5, 5), (3, 9), (2, 2, 4)]),
+       st.data())
+def test_lex_cut_matches_every_automorphism(factors, data):
+    """The test on Aut(G) permutation tables agrees with trying every
+    automorphism a and every t in P on x -> a(x - t), on coordinates."""
+    g = AbelianGroup(factors)
+    ix = _indices(factors)
+    P = _draw_prefix(g, data)
+    items = [g.coords_of(i) for i in P]
+    want = any(
+        sorted(g.index_of(endo_apply(g, a, g.sub_coords(c, t))) for c in items) < P
+        for a in automorphism_list(factors) for t in items)
+    assert ix.lowers(P, _automorphism_orbits(ix)) == want
+
+
+def _draw_prefix(g, data):
+    """A sorted Sidon list (0, p1, ...) of at least three indices.  Small
+    elements are drawn often, so that second elements are orbit minima
+    and the exact branch of the test is reached."""
     n = g.order
     P = [0]
     for c in data.draw(st.lists(st.one_of(st.integers(1, 4), st.integers(1, n - 1)),
@@ -327,9 +385,7 @@ def test_lex_cut_matches_every_map(factors, signs, data):
             P.append(c)
     P.sort()
     assume(len(P) >= 3)
-    e = g.exponent
-    units = [1, e - 1] if signs else [u for u in range(1, e) if math.gcd(u, e) == 1]
-    assert ix.lowers(P, ix.signs if signs else ix.units) == brute_lowers(g, P, units)
+    return P
 
 
 @settings(max_examples=40, deadline=None)
@@ -373,7 +429,7 @@ def test_extend_hook_sees_every_walked_node(target, want):
 
 @pytest.mark.parametrize("n", range(2, 61))
 def test_second_elements_cyclic_are_divisors(n):
-    got = _Indices(cyclic(n)).unit_minima()
+    got = _Indices(cyclic(n)).units.roots
     assert got == sum(1 << d for d in range(1, n) if n % d == 0)
 
 
@@ -386,4 +442,4 @@ def test_second_elements_are_unit_orbit_minima(factors):
         orbit = [g.index_of(g.smul_coords(u, g.coords_of(c))) for u in units]
         if c == min(orbit):
             want |= 1 << c
-    assert _Indices(g).unit_minima() == want
+    assert _Indices(g).units.roots == want
