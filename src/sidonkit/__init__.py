@@ -8,41 +8,12 @@ groups.
 
 import importlib
 
-from .dense import (
-    DENSE_NAMES,
-    ConstructionError,
-    PlanarCandidate,
-    construct_dense,
-    is_nondegenerate,
-    is_planar,
-    planar_graph,
-    polarization,
-)
-from .fields import FieldError, FiniteField, field_create
 from .groups import (
     AbelianGroup,
     GroupElement,
     GroupError,
     automorphisms,
     invariant_factor_form,
-)
-from .incidence import (
-    IncidenceStructure,
-    develop,
-    dualize,
-    is_partial_linear_space,
-    is_projective_plane,
-    self_dual_via_negation,
-)
-from .planes3 import (
-    FAMILY_TAGS,
-    PlaneAction,
-    PlaneError,
-    extract_sidon,
-    family_build,
-    orbit_analysis,
-    plane_build,
-    recover_constructions,
 )
 from .search import (
     BudgetExceeded,
@@ -65,9 +36,19 @@ from .sidon import (
     subgroup_union_cover,
 )
 
-# Names from the prime-based constructions, bound on first read: their
-# modules import mpmath, which nothing above needs.
+# Names bound on first read.  A process that only searches needs the four
+# modules imported above and nothing else: the plane side (field tables,
+# dense constructions, incidence structures, plane actions, and the
+# logging they use) and the prime-based side (whose modules import mpmath)
+# would only be compiled and run for names it never reads.
 _LAZY = {
+    "dense": ("DENSE_NAMES", "ConstructionError", "PlanarCandidate", "construct_dense",
+              "is_nondegenerate", "is_planar", "planar_graph", "polarization"),
+    "fields": ("FieldError", "FiniteField", "field_create"),
+    "incidence": ("IncidenceStructure", "develop", "dualize", "is_partial_linear_space",
+                  "is_projective_plane", "self_dual_via_negation"),
+    "planes3": ("FAMILY_TAGS", "PlaneAction", "PlaneError", "extract_sidon", "family_build",
+                "orbit_analysis", "plane_build", "recover_constructions"),
     "pell": ("CFData", "PellError", "fundamental_unit", "regulator"),
     "quadforms": ("BinaryQF", "ClassGroup", "FormError", "fundamental_discriminant",
                   "prime_form", "reduced_forms", "splits"),

@@ -14,6 +14,10 @@ import json
 import logging
 import sys
 
+# Every layer is imported here at start-up, unlike in the package
+# namespace: `main` can run many commands in one process, and a module
+# imported on first use would be compiled inside the first command that
+# needs it, so that command's time would carry the start-up cost.
 from .dense import (
     DENSE_NAMES,
     ConstructionError,

@@ -512,18 +512,34 @@ def test_11_affine_equivalence_is_one_search():
         assert mapped == set(S2)
 
 
-def test_12_core_import_leaves_the_sparse_side_unloaded():
-    """`import sidonkit` loads neither mpmath nor pell, quadforms and
-    sparse, whose names it binds on first read; `import sidonkit.cli`
-    loads all four.  No time budget: interpreter start-up varies too
+def test_12_core_import_loads_only_the_search_side():
+    """`import sidonkit` loads groups, ntheory, search and sidon, and no
+    other sidonkit module, logging or mpmath; searches, censuses, testers
+    and Sidon checks through the package load nothing more.  Reading a
+    plane-side name loads its module alone, and `import sidonkit.cli`
+    loads every module.  No time budget: interpreter start-up varies too
     much for one, and what is imported is what the start-up costs."""
     code = (
         "import json, sys\n"
-        "lazy = ('mpmath', 'sidonkit.pell', 'sidonkit.quadforms', 'sidonkit.sparse')\n"
-        "import sidonkit\n"
-        "core = [m for m in lazy if m in sys.modules]\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.startswith('sidonkit.') or m in ('logging', 'mpmath'))\n"
+        "before = loaded()\n"
+        "import sidonkit as sk\n"
+        "core = loaded()\n"
+        "sk.max_sidon(sk.AbelianGroup((31,)))\n"
+        "sk.max_sidon(sk.AbelianGroup((4, 4)))\n"
+        "G = sk.AbelianGroup((13,))\n"
+        "sk.enumerate_sidon(G, size=3)\n"
+        "sk.test_T_subgroup(3)\n"
+        "sk.test_extendable(2)\n"
+        "sk.is_sidon(G, [G.element(x) for x in (0, 1, 3, 9)])\n"
+        "sk.admissible_orders(91)\n"
+        "searched = loaded()\n"
+        "sk.field_create\n"
+        "field = loaded()\n"
         "import sidonkit.cli\n"
-        "print(json.dumps([core, [m for m in lazy if m in sys.modules]]))\n"
+        "print(json.dumps([before, core, searched, field, loaded()]))\n"
     )
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -531,9 +547,14 @@ def test_12_core_import_leaves_the_sparse_side_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    core, cli = json.loads(proc.stdout)
-    assert core == []
-    assert cli == ["mpmath", "sidonkit.pell", "sidonkit.quadforms", "sidonkit.sparse"]
+    before, core, searched, field, cli = json.loads(proc.stdout)
+    search_side = ["sidonkit.groups", "sidonkit.ntheory", "sidonkit.search", "sidonkit.sidon"]
+    assert [m for m in core if m not in before] == search_side
+    assert searched == core
+    assert [m for m in field if m not in core] == ["sidonkit.fields"]
+    modules = sorted(p.stem for p in (pathlib.Path(src) / "sidonkit").glob("*.py")
+                     if p.stem != "__init__")
+    assert set(cli) >= {"logging", "mpmath"} | {f"sidonkit.{m}" for m in modules}
 
 
 def test_13_affine_census_walks_automorphism_leaders():
