@@ -2,9 +2,10 @@
 
     python3 tools/bench_pairs.py --parent REV --pr N census:7:10 planes:1:5
 
-Each WORKLOAD:SEED:PAIRS argument runs `perfbench/run.py --workload
-WORKLOAD --seed SEED --seconds S` PAIRS times on each revision, in pairs
-whose first run alternates between parent and change.  Both revisions
+The change is HEAD.  Each WORKLOAD:SEED:PAIRS argument runs
+`perfbench/run.py --workload WORKLOAD --seed SEED --seconds S`, with S
+the `run_seconds` of BENCHMARK.json, PAIRS times on each revision, in
+pairs whose first run alternates between parent and change.  Both revisions
 are unpacked with `git archive | tar -x` into one temporary directory,
 so no worktree, branch or checkout is left behind, and the script
 refuses to run when BENCHMARK.json or perfbench/ differ between them.
@@ -12,7 +13,8 @@ The record at the repo root holds both revisions, the interpreter's
 version, the CPU count, every run's metrics and, per workload, seed and
 end-to-end metric, each side's median and quartiles and the change's
 wins, where a win is a better value in the direction BENCHMARK.json
-gives as `better`.  Standard library only.
+gives as `better`.  A record already there for the same two revisions
+keeps its sets, and the new ones follow them.  Standard library only.
 """
 
 from __future__ import annotations
@@ -103,21 +105,18 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="revision to compare against")
-    ap.add_argument("--change", default="HEAD", help="revision measured (default HEAD)")
     ap.add_argument("--pr", required=True, help="names the record BENCH_<pr>.json")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run.py --seconds (default: run_seconds in BENCHMARK.json)")
     ap.add_argument("specs", nargs="+", type=parse_spec, metavar="WORKLOAD:SEED:PAIRS")
     args = ap.parse_args(argv)
 
-    revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     if subprocess.run(["git", "diff", "--quiet", revs["parent"], revs["change"], "--",
                        *BENCH_FILES], cwd=ROOT).returncode != 0:
         raise SystemExit("bench_pairs: BENCHMARK.json or perfbench/ differ between "
-                         f"{args.parent} and {args.change}; the pairs would not compare")
+                         f"{args.parent} and HEAD; the pairs would not compare")
     bench = json.loads(git("show", f"{revs['change']}:BENCHMARK.json"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     record = {
@@ -130,6 +129,12 @@ def main(argv=None):
         "seconds": seconds,
         "sets": [],
     }
+    if os.path.exists(path):
+        with open(path) as fh:
+            earlier = json.load(fh)
+        # a later batch on the same two revisions adds its sets to the record
+        if (earlier["parent"], earlier["change"]) == (record["parent"], record["change"]):
+            record["sets"] = earlier["sets"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {side: os.path.join(tmp, side) for side in revs}
         for side, rev in revs.items():
